@@ -1,8 +1,10 @@
 """Measured performance runs: native, PSR, Isomeron, HIPStR.
 
-Each helper executes a workload with a :class:`TimingModel` attached as a
-step observer and returns a :class:`PerfMeasurement`.  All runs use the
-same instruction budget so relative performance compares equal work.
+Each helper executes a workload with a :class:`TimingModel` attached at
+the interpreter's timing attach point (so the run keeps the
+compiled-block fast path) and returns a :class:`PerfMeasurement`.  All
+runs use the same instruction budget so relative performance compares
+equal work.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..perf.timing import DBTCostModel, PerfMeasurement, TimingModel
 #: default instruction cap — measurements run the workload to completion
 #: (equal work), the cap is only a runaway guard
 DEFAULT_BUDGET = 8_000_000
-#: instructions executed before the timing observer attaches, mirroring
+#: instructions executed before the timing model attaches, mirroring
 #: the paper's fast-forward-to-steady-state methodology
 DEFAULT_WARMUP = 50_000
 
@@ -42,7 +44,7 @@ def measure_native(binary: FatBinary, isa_name: str = "x86like",
     process.os.reset(stdin=stdin)
     process.run(warmup)
     timing = TimingModel(core)
-    process.interpreter.observers.append(timing.observe)
+    process.interpreter.attach_timing(timing)
     with obs.span("measure", system="native", isa=isa_name):
         with step_metrics(process.interpreter, system="native",
                           isa=isa_name):
@@ -64,7 +66,7 @@ def measure_psr(binary: FatBinary, isa_name: str = "x86like",
     process.run(warmup)
     snapshot = cost_model.snapshot(vm)
     timing = TimingModel(core)
-    process.interpreter.observers.append(timing.observe)
+    process.interpreter.attach_timing(timing)
     with obs.span("measure", system="psr", isa=isa_name,
                   opt_level=config.opt_level):
         with step_metrics(process.interpreter, system="psr", isa=isa_name):
@@ -87,9 +89,8 @@ def measure_isomeron(binary: FatBinary, isa_name: str = "x86like",
     process.os.reset(stdin=stdin)
     process.run(warmup)
     timing = TimingModel(core, disable_branch_prediction=True)
-    model = IsomeronExecutionModel(timing, diversification_probability, seed)
-    process.interpreter.observers.append(timing.observe)
-    process.interpreter.observers.append(model.observe)
+    IsomeronExecutionModel(timing, diversification_probability, seed)
+    process.interpreter.attach_timing(timing)
     with obs.span("measure", system="isomeron", isa=isa_name):
         with step_metrics(process.interpreter, system="isomeron",
                           isa=isa_name):
@@ -113,9 +114,8 @@ def measure_psr_isomeron(binary: FatBinary, isa_name: str = "x86like",
     process.run(warmup)
     snapshot = cost_model.snapshot(vm)
     timing = TimingModel(core, disable_branch_prediction=True)
-    model = IsomeronExecutionModel(timing, diversification_probability, seed)
-    process.interpreter.observers.append(timing.observe)
-    process.interpreter.observers.append(model.observe)
+    IsomeronExecutionModel(timing, diversification_probability, seed)
+    process.interpreter.attach_timing(timing)
     with obs.span("measure", system="psr+isomeron", isa=isa_name):
         with step_metrics(process.interpreter, system="psr+isomeron",
                           isa=isa_name):
@@ -190,7 +190,7 @@ def measure_hipstr(binary: FatBinary,
     migrations_before = len(system.engine.history)
     timers = {name: TimingModel(CORES[name]) for name in system.interpreters}
     for name, interpreter in system.interpreters.items():
-        interpreter.observers.append(timers[name].observe)
+        interpreter.attach_timing(timers[name])
     with obs.span("measure", system="hipstr"):
         with contextlib.ExitStack() as stack:
             for name, interpreter in system.interpreters.items():

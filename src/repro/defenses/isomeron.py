@@ -22,9 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..isa.base import Op
-from ..machine.cpu import CPUState
-from ..machine.interpreter import StepInfo
 from ..perf.timing import TimingModel
 
 #: cycles per call/return for the diversifier's twin-page lookup + flip
@@ -41,9 +38,10 @@ class IsomeronStats:
 class IsomeronExecutionModel:
     """Per-run Isomeron model: coin flips + timing side-effects.
 
-    Attach :meth:`observe` as a step observer *in addition to* a
-    :class:`TimingModel` built with ``disable_branch_prediction=True``;
-    this adds the per-call/return dispatch cost and tracks the flips.
+    Build it over a :class:`TimingModel` constructed with
+    ``disable_branch_prediction=True``: it installs :meth:`intercept` as
+    that model's diversifier, so every call and return the model charges
+    also pays the dispatch cost and flips the coin.
     """
 
     def __init__(self, timing: TimingModel,
@@ -53,21 +51,15 @@ class IsomeronExecutionModel:
         self.probability = diversification_probability
         self.stats = IsomeronStats()
         self._rng = random.Random(f"isomeron:{seed}")
-        self._active_variant = 0
+        timing.diversifier = self.intercept
 
-    def observe(self, cpu: CPUState, info: StepInfo) -> None:
-        op = info.decoded.instruction.op
-        if op in (Op.CALL, Op.ICALL, Op.RET):
-            self.stats.calls_intercepted += 1
-            self.timing.add_cycles(DIVERSIFIER_DISPATCH_CYCLES)
-            self.stats.coin_flips += 1
-            if self._rng.random() < self.probability:
-                self._active_variant ^= 1
-                self.stats.variant_switches += 1
-
-    @property
-    def active_variant(self) -> int:
-        return self._active_variant
+    def intercept(self) -> float:
+        """One intercepted call or return; returns its dispatch cycles."""
+        self.stats.calls_intercepted += 1
+        self.stats.coin_flips += 1
+        if self._rng.random() < self.probability:
+            self.stats.variant_switches += 1
+        return DIVERSIFIER_DISPATCH_CYCLES
 
 
 def isomeron_entropy(chain_length: int) -> float:

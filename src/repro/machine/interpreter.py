@@ -10,9 +10,16 @@ rest of the system build on it without subclassing:
   (this is where translate-on-miss, RAT lookups, SFI policing, and
   migration decisions live); ``on_call`` chooses the return address that
   gets saved (the PSR VM saves *source* addresses, per Section 5.1).
-* step observers — callables receiving each executed instruction plus its
-  memory/branch behaviour; the performance model feeds its caches and
-  branch predictor from these without the interpreter storing any trace.
+* the timing attach point (:meth:`Interpreter.attach_timing`) — one
+  timing model per interpreter, charged for every executed instruction
+  on either execution path: the per-step loop hands it each
+  instruction's memory/branch behaviour, and compiled blocks carry its
+  precomputed static costs and hand it only the dynamic events (data
+  addresses, branch outcome) once per block.  It never forces the
+  per-step loop.
+* step observers — generic callables receiving each executed instruction
+  plus its memory/branch behaviour (tracing, metrics, attack analyses).
+  Any observer forces the per-step loop.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ class ExecutionHooks:
 
 @dataclass
 class StepInfo:
-    """What one executed instruction did — consumed by step observers."""
+    """What one executed instruction did — for step observers and timing."""
 
     decoded: Decoded
     #: (address, is_write) for every data-memory access, in order
@@ -108,6 +115,20 @@ class Interpreter:
         #: the decode cache's page granularity and invalidation contract
         self._blocks = CompiledBlockCache(DECODE_PAGE_SHIFT)
         self.breakpoints: set = set()
+        #: the attached timing model, if any (see :meth:`attach_timing`)
+        self.timing = None
+
+    def attach_timing(self, model) -> None:
+        """Charge every instruction executed from now on to ``model``.
+
+        ``model`` (a :class:`~repro.perf.timing.TimingModel`, or None to
+        detach) implements ``observe`` for the per-step loop and
+        ``plan_block``/``charge_block`` for compiled blocks.  Attaching
+        flushes the compiled-block cache, so blocks compiled with and
+        without a timing model never mix.
+        """
+        self.timing = model
+        self._blocks.invalidate()
 
     # ------------------------------------------------------------------
     # Decode
@@ -316,6 +337,8 @@ class Interpreter:
 
         cpu.pc = to_unsigned(next_pc)
         self.steps_executed += 1
+        if self.timing is not None:
+            self.timing.observe(cpu, info)
         observers = self.observers
         if observers:
             # Snapshot before dispatch: an observer may attach/detach
@@ -338,14 +361,19 @@ class Interpreter:
     # plus a terminator closure that performs the control transfer
     # through the normal ExecutionHooks.  Dispatch then costs one dict
     # lookup and one call per *block*.  The fast path runs only when no
-    # observer, breakpoint, or fault injector is active; everything it
-    # does is bit-identical to the step() loop:
+    # observer, breakpoint, or fault injector is active; an attached
+    # timing model keeps it (a block compiled while one is attached
+    # carries the model's static per-instruction plan, records its data
+    # addresses and branch outcome as it runs, and is charged once per
+    # execution).  Everything it does is bit-identical to the step()
+    # loop:
     #
     # * ``cpu.pc`` is stored at the start of every instruction closure,
     #   so modelled faults surface with the exact same pc as step();
     # * ``steps_executed`` is settled in a ``finally`` with the count of
     #   *completed* instructions, so a mid-block fault reports the same
-    #   step count as the per-step loop;
+    #   step count as the per-step loop — and the timing model is charged
+    #   for exactly those instructions, in step() order;
     # * terminators always call ``hooks.on_call`` / ``resolve_target`` —
     #   superblock chain links only memoize the resolved-pc -> block
     #   dispatch, never the hook's decision.
@@ -364,7 +392,7 @@ class Interpreter:
         """The live compiled block starting at ``pc``, if any."""
         return self._blocks.lookup(isa_name, pc)
 
-    def _compile_read(self, operand):
+    def _compile_read(self, operand, mem):
         """Closure returning the operand's value, or None if unsupported."""
         if isinstance(operand, Reg):
             index = operand.index
@@ -374,11 +402,11 @@ class Interpreter:
             return lambda cpu: value
         if isinstance(operand, Mem):
             base, disp = operand.base, operand.disp
-            read_word = self.memory.read_word
+            read_word = mem.read_word
             return lambda cpu: read_word(to_unsigned(cpu.regs[base] + disp))
         return None
 
-    def _compile_write(self, operand):
+    def _compile_write(self, operand, mem):
         """Closure storing a value into the operand, or None."""
         if isinstance(operand, Reg):
             index = operand.index
@@ -388,15 +416,19 @@ class Interpreter:
             return write_reg
         if isinstance(operand, Mem):
             base, disp = operand.base, operand.disp
-            write_word = self.memory.write_word
+            write_word = mem.write_word
 
             def write_mem(cpu, value):
                 write_word(to_unsigned(cpu.regs[base] + disp), value)
             return write_mem
         return None
 
-    def _compile_body(self, decoded: Decoded):
-        """Compile one straight-line instruction into a closure, or None."""
+    def _compile_body(self, decoded: Decoded, mem):
+        """Compile one straight-line instruction into a closure, or None.
+
+        Data accesses go through ``mem`` (the memory, or a recorder of
+        its effective addresses when a timing model is attached).
+        """
         ins = decoded.instruction
         op = ins.op
         ops = ins.operands
@@ -408,8 +440,8 @@ class Interpreter:
             return do_nop
 
         if op is Op.MOV or op is Op.LOAD or op is Op.STORE:
-            read = self._compile_read(ops[1])
-            write = self._compile_write(ops[0])
+            read = self._compile_read(ops[1], mem)
+            write = self._compile_write(ops[0], mem)
             if read is None or write is None:
                 return None
 
@@ -430,8 +462,8 @@ class Interpreter:
 
         if op is Op.LOADB:
             base, disp = ops[1].base, ops[1].disp
-            write = self._compile_write(ops[0])
-            read_u8 = self.memory.read_u8
+            write = self._compile_write(ops[0], mem)
+            read_u8 = mem.read_u8
             if write is None:
                 return None
 
@@ -442,8 +474,8 @@ class Interpreter:
 
         if op is Op.STOREB:
             base, disp = ops[0].base, ops[0].disp
-            read = self._compile_read(ops[1])
-            write_u8 = self.memory.write_u8
+            read = self._compile_read(ops[1], mem)
+            write_u8 = mem.write_u8
             if read is None:
                 return None
 
@@ -463,8 +495,8 @@ class Interpreter:
             return do_lea
 
         if op is Op.PUSH:
-            read = self._compile_read(ops[0])
-            write_word = self.memory.write_word
+            read = self._compile_read(ops[0], mem)
+            write_word = mem.write_word
             sp_index = self.cpu.isa.sp
             if read is None:
                 return None
@@ -479,8 +511,8 @@ class Interpreter:
             return do_push
 
         if op is Op.POP:
-            write = self._compile_write(ops[0])
-            read_word = self.memory.read_word
+            write = self._compile_write(ops[0], mem)
+            read_word = mem.read_word
             sp_index = self.cpu.isa.sp
             if write is None:
                 return None
@@ -495,8 +527,8 @@ class Interpreter:
             return do_pop
 
         if op is Op.CMP:
-            read_dst = self._compile_read(ops[0])
-            read_src = self._compile_read(ops[1])
+            read_dst = self._compile_read(ops[0], mem)
+            read_src = self._compile_read(ops[1], mem)
             if read_dst is None or read_src is None:
                 return None
 
@@ -507,9 +539,9 @@ class Interpreter:
 
         handler = _ALU_HANDLERS.get(op)
         if handler is not None:
-            read_dst = self._compile_read(ops[0])
-            read_src = self._compile_read(ops[1])
-            write_dst = self._compile_write(ops[0])
+            read_dst = self._compile_read(ops[0], mem)
+            read_src = self._compile_read(ops[1], mem)
+            write_dst = self._compile_write(ops[0], mem)
             if read_dst is None or read_src is None or write_dst is None:
                 return None
 
@@ -519,8 +551,8 @@ class Interpreter:
             return do_alu
 
         if op is Op.NEG or op is Op.NOT:
-            read = self._compile_read(ops[0])
-            write = self._compile_write(ops[0])
+            read = self._compile_read(ops[0], mem)
+            write = self._compile_write(ops[0], mem)
             if read is None or write is None:
                 return None
             if op is Op.NEG:
@@ -536,8 +568,12 @@ class Interpreter:
 
         return None
 
-    def _compile_terminator(self, decoded: Decoded):
-        """Closure executing a block-ending instruction; returns next pc."""
+    def _compile_terminator(self, decoded: Decoded, mem, outcome):
+        """Closure executing a block-ending instruction; returns next pc.
+
+        With a timing model attached, ``outcome`` is a one-slot list the
+        conditional branch stores its taken/not-taken result in.
+        """
         ins = decoded.instruction
         op = ins.op
         ops = ins.operands
@@ -570,6 +606,15 @@ class Interpreter:
         if op is Op.JCC:
             target = ops[0].value
             evaluate = ins.cond.evaluate
+            if outcome is not None:
+                def do_jcc_timed(cpu):
+                    cpu.pc = address
+                    taken = outcome[0] = evaluate(cpu.cmp_value)
+                    if taken:
+                        return interp.hooks.resolve_target("jcc", cpu,
+                                                           target)
+                    return fall
+                return do_jcc_timed
 
             def do_jcc(cpu):
                 cpu.pc = address
@@ -583,14 +628,14 @@ class Interpreter:
             pushes = isa.call_pushes_return
             sp_index = isa.sp
             lr_index = isa.lr
-            write_word = self.memory.write_word
+            write_word = mem.write_word
             if op is Op.CALL:
                 fixed_target = ops[0].value
                 read_target = None
                 kind = "call"
             else:
                 fixed_target = 0
-                read_target = self._compile_read(ops[0])
+                read_target = self._compile_read(ops[0], mem)
                 if read_target is None:
                     return None
                 kind = "icall"
@@ -619,7 +664,7 @@ class Interpreter:
 
         if op is Op.RET:
             sp_index = self.cpu.isa.sp
-            read_word = self.memory.read_word
+            read_word = mem.read_word
 
             def do_ret(cpu):
                 cpu.pc = address
@@ -631,7 +676,7 @@ class Interpreter:
             return do_ret
 
         if op is Op.IJMP:
-            read_target = self._compile_read(ops[0])
+            read_target = self._compile_read(ops[0], mem)
             if read_target is None:
                 return None
 
@@ -643,15 +688,20 @@ class Interpreter:
 
         return None
 
-    def _make_executor(self, body, terminator, term_counts):
+    def _make_executor(self, body, terminator, steps, timed=None):
         """Bind a block's closures into one executable unit.
 
         ``steps_executed`` is settled in the ``finally`` so a fault (or a
         migration request escaping a terminator hook) reports exactly the
-        instructions that completed, like the per-step loop.
+        instructions that completed, like the per-step loop; ``steps``
+        counts the terminator only when it is a real instruction.
+        ``timed`` is ``(charge_block, plan, addresses, outcome)`` for a
+        block compiled with a timing model attached: the same ``finally``
+        charges the completed instructions and clears the recorded
+        addresses.
         """
         interp = self
-        if term_counts:
+        if timed is None:
             def execute(cpu):
                 completed = 0
                 try:
@@ -659,21 +709,27 @@ class Interpreter:
                         fn(cpu)
                         completed += 1
                     next_pc = terminator(cpu)
-                    completed += 1
+                    completed = steps
                 finally:
                     interp.steps_executed += completed
                 return next_pc
-        else:
-            def execute(cpu):
-                completed = 0
-                try:
-                    for fn in body:
-                        fn(cpu)
-                        completed += 1
-                finally:
-                    interp.steps_executed += completed
-                return terminator(cpu)
-        return execute
+            return execute
+        charge, plan, addresses, outcome = timed
+
+        def execute_timed(cpu):
+            completed = 0
+            try:
+                for fn in body:
+                    fn(cpu)
+                    completed += 1
+                next_pc = terminator(cpu)
+                completed = steps
+            finally:
+                interp.steps_executed += completed
+                charge(plan, completed, addresses, outcome[0])
+                addresses.clear()
+            return next_pc
+        return execute_timed
 
     def _compile_block(self, cpu: CPUState) -> Optional[CompiledBlock]:
         """Compile the basic block starting at ``cpu.pc``.
@@ -689,6 +745,17 @@ class Interpreter:
         terminator = None
         term_counts = False
         offset = start_pc
+        timing = self.timing
+        if timing is None:
+            mem = self.memory
+            outcome = None
+        else:
+            addresses: List[int] = []
+            mem = _AddressRecorder(self.memory, addresses.append)
+            outcome = [False]
+            #: (address, op, data accesses) of every compiled instruction
+            compiled = []
+            pushes = cpu.isa.call_pushes_return
         while True:
             try:
                 decoded = self._decode(cpu, offset)
@@ -698,31 +765,38 @@ class Interpreter:
                 break
             ins = decoded.instruction
             if ins.is_control() or ins.op is Op.HLT or ins.op is Op.SYSCALL:
-                terminator = self._compile_terminator(decoded)
+                terminator = self._compile_terminator(decoded, mem, outcome)
                 if terminator is None:
                     if not body:
                         return None
                     break
                 term_counts = True
-                offset = decoded.end
-                break
-            fn = self._compile_body(decoded)
-            if fn is None:
-                if not body:
-                    return None
-                break
-            body.append(fn)
+            else:
+                fn = self._compile_body(decoded, mem)
+                if fn is None:
+                    if not body:
+                        return None
+                    break
+                body.append(fn)
+            if timing is not None:
+                compiled.append((decoded.address, ins.op,
+                                _data_accesses(ins, pushes)))
             offset = decoded.end
+            if term_counts:
+                break
             if len(body) >= MAX_BLOCK_INSTRUCTIONS:
                 break
         end = offset
         if terminator is None:
             def terminator(cpu, _end=end):
                 return _end
-        executor = self._make_executor(tuple(body), terminator, term_counts)
-        block = CompiledBlock(cpu.isa.name, start_pc, end,
-                              len(body) + (1 if term_counts else 0),
-                              executor)
+        timed = None
+        if timing is not None:
+            timed = (timing.charge_block, timing.plan_block(compiled),
+                     addresses, outcome)
+        steps = len(body) + (1 if term_counts else 0)
+        executor = self._make_executor(tuple(body), terminator, steps, timed)
+        block = CompiledBlock(cpu.isa.name, start_pc, end, steps, executor)
         self._blocks.stats.compiles += 1
         self._blocks.install(block)
         return block
@@ -851,9 +925,10 @@ class Interpreter:
                 # Observers, breakpoints, and chaos injection all need
                 # per-instruction visibility, so any of them forces the
                 # per-step loop below (which also finishes budget tails
-                # smaller than the next block).  With observability on,
-                # the profiled twin keeps per-block attribution without
-                # leaving the fast path.
+                # smaller than the next block).  An attached timing model
+                # does not: timed blocks charge it themselves.  With
+                # observability on, the profiled twin keeps per-block
+                # attribution without leaving the fast path.
                 profiling = _obs.enabled()
                 if profiling:
                     self._run_compiled_profiled(start, budget)
@@ -887,6 +962,49 @@ class Interpreter:
                 from ..obs.profile_attr import flush_block_profile
                 flush_block_profile(self)
         return ExecutionResult(self.steps_executed - start, "halt")
+
+
+class _AddressRecorder:
+    """The data accessors of a memory, recording each effective address.
+
+    Compiled blocks built with a timing model attached bind these in
+    place of the memory's own accessors; the address is recorded before
+    the access, exactly where ``step()`` appends it to ``mem_accesses``.
+    """
+
+    __slots__ = ("read_word", "write_word", "read_u8", "write_u8")
+
+    def __init__(self, memory: Memory, record: Callable[[int], None]):
+        def recorded_read(read):
+            def accessor(address):
+                record(address)
+                return read(address)
+            return accessor
+
+        def recorded_write(write):
+            def accessor(address, value):
+                record(address)
+                write(address, value)
+            return accessor
+        self.read_word = recorded_read(memory.read_word)
+        self.write_word = recorded_write(memory.write_word)
+        self.read_u8 = recorded_read(memory.read_u8)
+        self.write_u8 = recorded_write(memory.write_u8)
+
+
+def _data_accesses(ins, call_pushes_return: bool) -> int:
+    """How many data-memory accesses ``step()`` records for ``ins``."""
+    op = ins.op
+    if op is Op.LEA:
+        return 0
+    count = sum(1 for operand in ins.operands if isinstance(operand, Mem))
+    if (op in _ALU_HANDLERS or op is Op.NEG or op is Op.NOT) \
+            and isinstance(ins.operands[0], Mem):
+        count += 1                      # read-modify-write destination
+    if op is Op.PUSH or op is Op.POP or op is Op.RET \
+            or (call_pushes_return and (op is Op.CALL or op is Op.ICALL)):
+        count += 1                      # the implicit stack slot
+    return count
 
 
 def _shift_amount(value: int) -> int:

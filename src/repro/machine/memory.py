@@ -16,6 +16,8 @@ from typing import Dict, Iterator, List, Optional
 from ..errors import ConfigError, SegmentationFault
 from ..isa.base import WORD_SIZE, to_unsigned
 
+_WORD = struct.Struct("<I")
+
 
 @dataclass
 class Segment:
@@ -57,6 +59,10 @@ class Memory:
     def __init__(self) -> None:
         self._segments: List[Segment] = []
         self._by_name: Dict[str, Segment] = {}
+        #: the segment the last successful :meth:`find` returned; accesses
+        #: cluster (stack, then data, then stack again), so checking it
+        #: first skips the scan.  Mapping changes reset it.
+        self._last: Optional[Segment] = None
 
     # ------------------------------------------------------------------
     # Mapping
@@ -71,6 +77,7 @@ class Memory:
         self._segments.append(segment)
         self._segments.sort(key=lambda s: s.base)
         self._by_name[segment.name] = segment
+        self._last = None
         return segment
 
     def map(self, name: str, base: int, size: int, *, readable: bool = True,
@@ -86,6 +93,7 @@ class Memory:
     def unmap(self, name: str) -> None:
         segment = self._by_name.pop(name)
         self._segments.remove(segment)
+        self._last = None
 
     def segment(self, name: str) -> Segment:
         return self._by_name[name]
@@ -97,8 +105,13 @@ class Memory:
         return iter(self._segments)
 
     def find(self, address: int, length: int = 1) -> Optional[Segment]:
+        last = self._last
+        if last is not None and last.base <= address \
+                and address + length <= last.base + last.size:
+            return last
         for segment in self._segments:
             if segment.contains(address, length):
+                self._last = segment
                 return segment
         return None
 
@@ -106,7 +119,7 @@ class Memory:
     # Access
     # ------------------------------------------------------------------
     def _locate(self, address: int, length: int, access: str) -> Segment:
-        address = to_unsigned(address)
+        """The segment holding ``address`` (already 32-bit), or a fault."""
         segment = self.find(address, length)
         if segment is None:
             raise SegmentationFault(address, access)
@@ -132,16 +145,25 @@ class Memory:
         segment.data[offset:offset + len(data)] = data
 
     def read_u8(self, address: int) -> int:
-        return self.read_bytes(address, 1)[0]
+        address = to_unsigned(address)
+        segment = self._locate(address, 1, "read")
+        return segment.data[address - segment.base]
 
     def write_u8(self, address: int, value: int) -> None:
-        self.write_bytes(address, bytes([value & 0xFF]))
+        address = to_unsigned(address)
+        segment = self._locate(address, 1, "write")
+        segment.data[address - segment.base] = value & 0xFF
 
     def read_word(self, address: int) -> int:
-        return struct.unpack("<I", self.read_bytes(address, WORD_SIZE))[0]
+        address = to_unsigned(address)
+        segment = self._locate(address, WORD_SIZE, "read")
+        return _WORD.unpack_from(segment.data, address - segment.base)[0]
 
     def write_word(self, address: int, value: int) -> None:
-        self.write_bytes(address, struct.pack("<I", to_unsigned(value)))
+        address = to_unsigned(address)
+        segment = self._locate(address, WORD_SIZE, "write")
+        _WORD.pack_into(segment.data, address - segment.base,
+                        to_unsigned(value))
 
     def read_cstring(self, address: int, limit: int = 4096) -> bytes:
         """Read a NUL-terminated byte string (used by the syscall layer)."""

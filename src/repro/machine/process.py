@@ -79,9 +79,6 @@ class Process:
     def run(self, max_instructions: int = 1_000_000, **kwargs):
         return self.interpreter.run(max_instructions, **kwargs)
 
-    def text_segment(self, isa_name: str):
-        return self.memory.segment(f"text.{isa_name}")
-
 
 def _round_page(size: int, page: int = 0x1000) -> int:
     return max((size + page - 1) // page * page, page)

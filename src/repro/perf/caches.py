@@ -32,13 +32,13 @@ class Cache:
         if line & (line - 1):
             raise ConfigError("line size must be a power of two")
         self.num_sets = max(config.size // (line * config.associativity), 1)
-        self._offset_bits = line.bit_length() - 1
+        self.offset_bits = line.bit_length() - 1
         #: per-set list of tags, most recently used last
         self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
     def _locate(self, address: int):
-        block = address >> self._offset_bits
+        block = address >> self.offset_bits
         return block % self.num_sets, block
 
     def access(self, address: int) -> bool:

@@ -1,9 +1,16 @@
 """Analytic/event timing model over executed instruction streams.
 
-Attaches to the interpreter as a step observer: every executed
-instruction charges its class cost scaled by the core's sustainable ILP,
-plus I-cache, D-cache, and branch-predictor penalties from the actual
-addresses and branch outcomes of the run.  DBT-specific costs (unit
+Attaches to the interpreter through its single timing attach point
+(:meth:`~repro.machine.interpreter.Interpreter.attach_timing`): every
+executed instruction charges its class cost scaled by the core's
+sustainable ILP, plus I-cache, D-cache, and branch-predictor penalties
+from the actual addresses and branch outcomes of the run.  The per-step
+loop feeds :meth:`TimingModel.observe` one instruction at a time; the
+compiled-block fast path feeds :meth:`TimingModel.charge_block` one
+block at a time, with the static part of every instruction's cost
+planned once at block-compile time (:meth:`TimingModel.plan_block`).
+Both charge the same amounts in the same order, so ``cycles`` is
+bit-identical whichever path ran.  DBT-specific costs (unit
 translation, RAT lookups, dispatcher hits) are charged from the PSR VM's
 statistics after the run.
 
@@ -19,7 +26,7 @@ branch prediction hurts call-dense code (Figure 14's Isomeron model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.base import Op
 from ..machine.cpu import CPUState
@@ -40,6 +47,15 @@ CLASS_COSTS: Dict[Op, float] = {
     Op.IJMP: 3.0,
 }
 _DEFAULT_COST = 1.0
+
+#: instruction kinds that take a charge beyond class cost and caches
+_KIND_PLAIN, _KIND_BRANCH, _KIND_CALL_RETURN = 0, 1, 2
+_CALL_RETURN_OPS = (Op.CALL, Op.ICALL, Op.RET)
+
+#: one instruction of a compiled block, as :meth:`TimingModel.plan_block`
+#: plans it: (fetch pc, class cost / ILP, data accesses, kind, same
+#: I-cache line as the previous instruction of the block)
+PlannedInstruction = Tuple[int, float, int, int, bool]
 
 
 @dataclass
@@ -83,11 +99,12 @@ class DBTCostModel:
 
 
 class TimingModel:
-    """Step observer accumulating cycles for one core."""
+    """Cycle accumulator for one core, fed by the interpreter."""
 
     def __init__(self, core: CoreConfig,
                  disable_branch_prediction: bool = False):
         self.core = core
+        self.ilp_factor = core.ilp_factor
         self.icache = Cache(core.icache)
         self.dcache = Cache(core.dcache)
         self.branch_predictor = BranchPredictor(
@@ -101,19 +118,23 @@ class TimingModel:
         #: what makes stack-relocated state cost real time — the effect
         #: the -O2 global register cache exists to claw back (Figure 9).
         self.mem_access_cost = 0.7
+        #: extra charge on every call and return, returning its cycles:
+        #: Isomeron's execution-path diversifier installs itself here
+        self.diversifier: Optional[Callable[[], float]] = None
 
     # ------------------------------------------------------------------
     def observe(self, cpu: CPUState, info: StepInfo) -> None:
+        """Charge one executed instruction (the per-step reference)."""
         decoded = info.decoded
         op = decoded.instruction.op
         self.instructions += 1
-        self.cycles += CLASS_COSTS.get(op, _DEFAULT_COST) / self.core.ilp_factor
+        self.cycles += CLASS_COSTS.get(op, _DEFAULT_COST) / self.ilp_factor
 
         if not self.icache.access(decoded.address):
             self.cycles += self.core.icache.miss_penalty
 
         for address, _is_write in info.mem_accesses:
-            self.cycles += self.mem_access_cost / self.core.ilp_factor
+            self.cycles += self.mem_access_cost / self.ilp_factor
             if not self.dcache.access(address):
                 self.cycles += (self.core.dcache.miss_penalty
                                 * (1.0 - self.miss_overlap))
@@ -123,6 +144,79 @@ class TimingModel:
                 decoded.address, info.branch_taken)
             if not correct:
                 self.cycles += self.core.mispredict_penalty
+        elif op in _CALL_RETURN_OPS and self.diversifier is not None:
+            self.cycles += self.diversifier()
+
+    def plan_block(self, instructions: Sequence[Tuple[int, Op, int]],
+                   ) -> Tuple[PlannedInstruction, ...]:
+        """Precompute the static cost of a block's instructions.
+
+        ``instructions`` lists ``(address, op, data accesses)`` in block
+        order.  A fetch from the same I-cache line as the previous
+        instruction of the block is a guaranteed MRU hit — nothing else
+        touches the I-cache in between — so it is flagged and later only
+        counted, never looked up.
+        """
+        shift = self.icache.offset_bits
+        planned: List[PlannedInstruction] = []
+        previous_line = None
+        for address, op, accesses in instructions:
+            if op is Op.JCC:
+                kind = _KIND_BRANCH
+            elif op in _CALL_RETURN_OPS:
+                kind = _KIND_CALL_RETURN
+            else:
+                kind = _KIND_PLAIN
+            line = address >> shift
+            planned.append((address,
+                            CLASS_COSTS.get(op, _DEFAULT_COST)
+                            / self.ilp_factor,
+                            accesses, kind, line == previous_line))
+            previous_line = line
+        return tuple(planned)
+
+    def charge_block(self, planned: Tuple[PlannedInstruction, ...],
+                     completed: int, addresses: List[int],
+                     taken: bool) -> None:
+        """Charge the first ``completed`` instructions of a planned block.
+
+        ``addresses`` are the block's data accesses in execution order
+        (any beyond the completed instructions belong to the one that
+        faulted, and are ignored); ``taken`` is the outcome of a
+        terminating conditional branch.  Charges exactly what
+        :meth:`observe` would, in the same order.
+        """
+        if completed < len(planned):
+            planned = planned[:completed]
+        core = self.core
+        icache_access = self.icache.access
+        icache_penalty = core.icache.miss_penalty
+        dcache_access = self.dcache.access
+        mem_cost = self.mem_access_cost / self.ilp_factor
+        dcache_penalty = core.dcache.miss_penalty * (1.0 - self.miss_overlap)
+        cycles = self.cycles
+        same_line = 0
+        cursor = 0
+        for pc, cost, accesses, kind, same in planned:
+            cycles += cost
+            if same:
+                same_line += 1
+            elif not icache_access(pc):
+                cycles += icache_penalty
+            if accesses:
+                for address in addresses[cursor:cursor + accesses]:
+                    cycles += mem_cost
+                    if not dcache_access(address):
+                        cycles += dcache_penalty
+                cursor += accesses
+            if kind == _KIND_BRANCH:
+                if not self.branch_predictor.predict_and_update(pc, taken):
+                    cycles += core.mispredict_penalty
+            elif kind == _KIND_CALL_RETURN and self.diversifier is not None:
+                cycles += self.diversifier()
+        self.cycles = cycles
+        self.instructions += completed
+        self.icache.stats.accesses += same_line
 
     # ------------------------------------------------------------------
     @property

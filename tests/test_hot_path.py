@@ -193,6 +193,190 @@ class TestCompiledBlockInvalidation:
 
 
 # ---------------------------------------------------------------------
+# Timing model on the compiled path
+# ---------------------------------------------------------------------
+_TIMED_SOURCE = """
+int table[16];
+int bump(int x) { table[x & 15] = table[x & 15] + x; return x * 3; }
+int main() { int i; int s; int zero; s = 0; i = 0; zero = 0;
+    while (i < 300) {
+        if (i % 3 == 0) { s = s + bump(i); } else { s = s - i; }
+        i = i + 1;
+    }
+    s = s + 1;
+    return s / zero + s; }
+"""
+
+
+@pytest.fixture(scope="module")
+def timed_binary():
+    from repro.compiler import compile_minic
+    return compile_minic(_TIMED_SOURCE)
+
+
+def _timed_process(binary, isa_name, reference):
+    """A fresh process with a timing model attached — through the
+    timing attach point, or (``reference``) as a generic step observer,
+    which forces the per-step loop."""
+    from repro.isa import ISAS
+    from repro.machine import Process
+    from repro.perf import TimingModel
+    from repro.perf.cores import CORES
+    process = Process(binary.to_process_image(), ISAS[isa_name])
+    timing = TimingModel(CORES[isa_name])
+    if reference:
+        process.interpreter.observers.append(timing.observe)
+    else:
+        process.interpreter.attach_timing(timing)
+    return process, timing
+
+
+def _timing_state(timing):
+    return (repr(timing.cycles), timing.instructions,
+            timing.icache.stats, timing.dcache.stats,
+            timing.branch_predictor.stats)
+
+
+def _run_outcome(result):
+    return (result.steps, result.reason,
+            None if result.fault is None else str(result.fault))
+
+
+def _memory_forms_machine(timing_attach, base=0x1000):
+    """A hand-assembled x86like loop over every memory-operand form the
+    compiler never emits: read-modify-write ALU, memory push/pop,
+    memory-indirect call and jump."""
+    from repro.isa import Mem
+    from repro.perf import TimingModel
+    from repro.perf.cores import CORES
+    frame = 0x8400
+    asm = Assembler(X86LIKE)
+    asm.emit(Instruction(Op.MOV, (Reg(0), Imm(0))))
+    asm.emit(Instruction(Op.MOV, (Reg(1), Imm(150))))
+    asm.label("loop")
+    asm.emit(Instruction(Op.ADD, (Mem(5, -8), Reg(1))))
+    asm.emit(Instruction(Op.ADD, (Reg(0), Mem(5, -8))))
+    asm.emit(Instruction(Op.PUSH, (Mem(5, -8),)))
+    asm.emit(Instruction(Op.POP, (Mem(5, -12 - 64 * 4),))) # far line
+    asm.emit(Instruction(Op.ICALL, (Mem(5, -16),)))
+    asm.emit(Instruction(Op.SUB, (Reg(1), Imm(1))))
+    asm.emit(Instruction(Op.CMP, (Reg(1), Imm(0))))
+    asm.emit(Instruction(Op.JCC, (Label("loop"),), cond=Cond.GT))
+    asm.emit(Instruction(Op.IJMP, (Mem(5, -20),)))
+    asm.label("callee")
+    asm.emit(Instruction(Op.XOR, (Reg(2), Reg(0))))
+    asm.emit(Instruction(Op.RET))
+    asm.label("done")
+    asm.emit(Instruction(Op.HLT))
+    unit = asm.assemble(base)
+    memory = Memory()
+    memory.map("code", base, 0x1000, writable=False, executable=True,
+               data=unit.data)
+    memory.map("stack", 0x8000, 0x1000)
+    memory.write_word(frame - 16, unit.symbols["callee"])
+    memory.write_word(frame - 20, unit.symbols["done"])
+    cpu = CPUState(X86LIKE, pc=base)
+    cpu.sp = 0x8F00
+    cpu.set(5, frame)
+    interp = Interpreter(cpu, memory, OperatingSystem())
+    timing = TimingModel(CORES["x86like"])
+    timing_attach(interp, timing)
+    return interp, timing
+
+
+def test_timed_memory_operand_forms_match_reference():
+    def reference(interp, timing):
+        interp.observers.append(timing.observe)
+    states = []
+    for attach in (reference, Interpreter.attach_timing):
+        interp, timing = _memory_forms_machine(attach)
+        steps = [interp.run(budget).steps for budget in (5, 999, 100_000)]
+        assert interp.cpu.halted
+        states.append((steps, interp.cpu.snapshot(), repr(timing.cycles),
+                       timing.instructions, timing.icache.stats,
+                       timing.dcache.stats, timing.branch_predictor.stats))
+    assert states[0] == states[1]
+    assert interp.compiled_block_count > 0
+
+
+@pytest.mark.parametrize("isa_name", ["x86like", "armlike"])
+class TestTimedCompiledPath:
+    """The timed compiled path charges exactly what the per-step
+    reference (``TimingModel.observe`` as an observer) charges."""
+
+    def test_budgets_ending_mid_block(self, timed_binary, isa_name):
+        runs = {}
+        for reference in (True, False):
+            process, timing = _timed_process(timed_binary, isa_name,
+                                             reference)
+            outcomes = []
+            for budget in (1, 7, 13, 333, 1001, 4096, 1_000_000):
+                result = process.run(budget)
+                outcomes.append(_run_outcome(result))
+                if result.reason != "limit":
+                    break
+            runs[reference] = (outcomes, _timing_state(timing),
+                               process.cpu.snapshot())
+            if not reference:
+                assert process.interpreter.compiled_block_count > 0
+        assert runs[True] == runs[False]
+        # the run ends in the program's own division by zero, which sits
+        # mid-block: that instruction is charged on neither path
+        assert runs[False][0][-1][1] == "fault"
+        assert "division by zero" in runs[False][0][-1][2]
+
+    def test_breakpoint_mid_run(self, timed_binary, isa_name):
+        runs = {}
+        for reference in (True, False):
+            process, timing = _timed_process(timed_binary, isa_name,
+                                             reference)
+            process.run(2_000)
+            interpreter = process.interpreter
+            interpreter.breakpoints.add(interpreter.cpu.pc)
+            interpreter.run(1)                   # step off the breakpoint
+            stop = interpreter.run(100_000)
+            interpreter.breakpoints.clear()
+            rest = interpreter.run(1_000_000)
+            runs[reference] = (_run_outcome(stop), _run_outcome(rest),
+                               _timing_state(timing))
+        assert runs[True] == runs[False]
+        assert runs[False][0][1] == "breakpoint"
+
+    def test_fault_injector_installed(self, timed_binary, isa_name):
+        from repro.faults import injection
+        from repro.faults.plan import FaultPlan
+        runs = {}
+        for reference in (True, False):
+            process, timing = _timed_process(timed_binary, isa_name,
+                                             reference)
+            process.run(501)                     # compiled, timed blocks
+            injection.install(
+                FaultPlan(seed=3, rates={"decode.flush": 0.5}))
+            try:
+                middle = process.run(3_000)
+            finally:
+                injection.uninstall()
+            rest = process.run(1_000_000)
+            runs[reference] = (_run_outcome(middle), _run_outcome(rest),
+                               _timing_state(timing))
+        assert runs[True] == runs[False]
+
+    def test_attach_flushes_untimed_blocks(self, timed_binary, isa_name):
+        from repro.isa import ISAS
+        from repro.machine import Process
+        from repro.perf import TimingModel
+        from repro.perf.cores import CORES
+        process = Process(timed_binary.to_process_image(), ISAS[isa_name])
+        process.run(2_000)                       # untimed blocks
+        assert process.interpreter.compiled_block_count > 0
+        timing = TimingModel(CORES[isa_name])
+        process.interpreter.attach_timing(timing)
+        assert process.interpreter.compiled_block_count == 0
+        process.run(1_000)
+        assert timing.instructions == 1_000
+
+
+# ---------------------------------------------------------------------
 # Engine job batching
 # ---------------------------------------------------------------------
 def _square(x):

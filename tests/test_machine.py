@@ -84,6 +84,54 @@ class TestMemory:
         mem = self.make()
         assert len(mem.fetch_window(0x40FC, 12)) == 4
 
+    def test_find_forgets_unmapped_segment(self):
+        mem = self.make()
+        assert mem.find(0x1010).name == "ram"      # now the last hit
+        mem.unmap("ram")
+        assert mem.find(0x1010) is None
+        with pytest.raises(SegmentationFault):
+            mem.read_word(0x1010)
+
+    def test_find_sees_remap_at_same_base(self):
+        mem = self.make()
+        mem.write_word(0x1010, 0xDEADBEEF)
+        assert mem.find(0x1010).name == "ram"
+        mem.unmap("ram")
+        fresh = mem.map("ram2", 0x1000, 0x100, writable=False)
+        assert mem.find(0x1010) is fresh
+        assert mem.read_word(0x1010) == 0
+        # the old segment's tail is unmapped now, not a stale last hit
+        assert mem.find(0x1800) is None
+        with pytest.raises(SegmentationFault):
+            mem.write_word(0x1010, 1)
+
+    def test_find_rejects_access_straddling_last_hit(self):
+        mem = Memory()
+        mem.map("low", 0x1000, 0x1000)
+        mem.map("high", 0x2000, 0x1000)
+        assert mem.find(0x1FF0, 4).name == "low"   # now the last hit
+        assert mem.find(0x1FFE, 4) is None          # straddles low|high
+        assert mem.find(0x2000, 4).name == "high"
+        with pytest.raises(SegmentationFault):
+            mem.read_word(0x1FFE)
+
+    @pytest.mark.parametrize("access, call", [
+        ("read", lambda mem: mem.read_word(0x9000)),
+        ("read", lambda mem: mem.read_u8(0x9000)),
+        ("write", lambda mem: mem.write_word(0x4000, 1)),
+        ("write", lambda mem: mem.write_u8(0x4004, 1)),
+        ("execute", lambda mem: mem.fetch_window(0x1000, 4)),
+    ])
+    def test_permission_faults_are_typed(self, access, call):
+        mem = self.make()
+        mem.read_word(0x1000)                       # warm the last hit
+        with pytest.raises(SegmentationFault) as info:
+            call(mem)
+        assert info.value.access == access
+        assert str(info.value) == \
+            f"segmentation fault ({access}) at {info.value.address:#x}"
+        assert info.value.address in (0x9000, 0x4000, 0x4004, 0x1000)
+
     @given(st.integers(0, 0xFF8), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_word_roundtrip_property(self, offset, value):

@@ -178,3 +178,104 @@ class TestMigrationCost:
         assert summary.by_direction["arm_to_x86"] > 0
         assert summary.by_direction["x86_to_arm"] > 0
         assert summary.average_micros > 0
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: timed compiled path vs the per-step reference
+# ----------------------------------------------------------------------
+def _perf_cells():
+    from repro.analysis import perfrun
+    from repro.core import PSRConfig
+    common = {"budget": 60_001, "warmup": 5_003}
+
+    def psr(level):
+        return lambda b, s: perfrun.measure_psr_summary(
+            b, config=PSRConfig(opt_level=level), stdin=s, **common)
+    return {
+        "native": lambda b, s: perfrun.measure_native(b, stdin=s, **common),
+        "psr-O1": psr(1),
+        "psr-O2": psr(2),
+        "psr-O3": psr(3),
+        "isomeron": lambda b, s: perfrun.measure_isomeron(
+            b, stdin=s, **common),
+        "psr+isomeron": lambda b, s: perfrun.measure_psr_isomeron(
+            b, stdin=s, **common),
+        "hipstr-phase": lambda b, s: perfrun.measure_hipstr_summary(
+            b, migration_probability=0.0, stdin=s, budget=60_001,
+            phase_interval=7_919, warmup=0),
+        "hipstr-prewarm": lambda b, s: perfrun.measure_hipstr_summary(
+            b, stdin=s, prewarm=True, **common),
+        "hipstr-ret": lambda b, s: perfrun.measure_hipstr_summary(
+            b, migration_probability=1.0, stdin=s, **common),
+    }
+
+
+def _model_state(model):
+    diversifier = getattr(model.diversifier, "__self__", None)
+    return (repr(model.cycles), model.instructions, model.icache.stats,
+            model.dcache.stats, model.branch_predictor.stats,
+            None if diversifier is None else diversifier.stats)
+
+
+class TestTimedCompiledPathOracle:
+    """Every perfrun helper charges bit-identical cycles and identical
+    cache, branch and Isomeron counts whether its timing model rides the
+    compiled-block path or the per-step reference (the model's
+    ``observe`` attached as a generic observer)."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro.workloads import WORKLOADS, compile_workload
+        return compile_workload("mcf", 1), WORKLOADS["mcf"].stdin
+
+    def measure(self, monkeypatch, cell, workload, reference):
+        from repro.machine import Interpreter
+        attach = Interpreter.attach_timing
+        models = []
+
+        def capture(interpreter, model):
+            models.append(model)
+            if reference:
+                interpreter.observers.append(model.observe)
+            else:
+                attach(interpreter, model)
+        monkeypatch.setattr(Interpreter, "attach_timing", capture)
+        result = _perf_cells()[cell](*workload)
+        measured = getattr(result, "measurement", result)
+        return (repr(measured.cycles), measured.instructions,
+                getattr(result, "migration_count", None),
+                getattr(result, "capacity_misses", None),
+                getattr(result, "security_events", None),
+                [_model_state(model) for model in models])
+
+    @pytest.mark.parametrize("cell", sorted(_perf_cells()))
+    def test_cell_matches_reference(self, monkeypatch, workload, cell):
+        timed = self.measure(monkeypatch, cell, workload, reference=False)
+        assert timed == self.measure(monkeypatch, cell, workload,
+                                     reference=True)
+        assert timed[1] > 0
+        if cell == "hipstr-phase":
+            assert timed[2] > 0                  # forced migrations ran
+
+    def test_ret_migration_rollback_requeues(self, monkeypatch, workload):
+        # every other migration attempt rolls back: the ret request
+        # is requeued on the source ISA mid-block on the compiled path
+        from repro.errors import MigrationRollback
+        from repro.migration.engine import MigrationEngine
+        migrate = MigrationEngine.migrate
+        attempts, rolled_back = [], []
+
+        def flaky(engine, *args, **kwargs):
+            attempts.append(args[-1])
+            if len(attempts) % 2:
+                rolled_back.append(args[-1])
+                raise MigrationRollback("injected", cause="test",
+                                        kind=args[-1])
+            return migrate(engine, *args, **kwargs)
+        monkeypatch.setattr(MigrationEngine, "migrate", flaky)
+        timed = self.measure(monkeypatch, "hipstr-ret", workload,
+                             reference=False)
+        assert "ret" in rolled_back
+        attempts.clear()
+        assert timed == self.measure(monkeypatch, "hipstr-ret", workload,
+                                     reference=True)
