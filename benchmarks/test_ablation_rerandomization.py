@@ -9,10 +9,12 @@ from repro.analysis.reporting import format_table
 from repro.attacks.blindrop import campaign
 
 
+def _run():
+    return campaign(secret_bits=12, trials=15, seed=3)
+
+
 def test_ablation_rerandomization(benchmark):
-    stats = benchmark.pedantic(campaign, rounds=1, iterations=1,
-                               kwargs={"secret_bits": 12, "trials": 15,
-                                       "seed": 3})
+    stats = benchmark.pedantic(_run, rounds=1, iterations=1)
     print()
     print(format_table(
         ["defense", "success rate", "mean attempts", "analytic expectation"],

@@ -96,21 +96,24 @@ class Cond(enum.Enum):
 
     def evaluate(self, diff: int) -> bool:
         """Evaluate against the signed difference ``dst - src`` of the CMP."""
-        if self is Cond.EQ:
-            return diff == 0
-        if self is Cond.NE:
-            return diff != 0
-        if self is Cond.LT:
-            return diff < 0
-        if self is Cond.LE:
-            return diff <= 0
-        if self is Cond.GT:
-            return diff > 0
-        return diff >= 0
+        return COND_TESTS[self](diff)
 
     def negate(self) -> "Cond":
         return _COND_NEGATION[self]
 
+
+#: each condition as one test of the CMP difference, shared by
+#: :meth:`Cond.evaluate` and the interpreter's compiled branches.  The
+#: tests are comparisons bound to 0, so they run at C speed:
+#: ``(0).__gt__(diff)`` is ``0 > diff``, i.e. ``diff < 0``.
+COND_TESTS = {
+    Cond.EQ: (0).__eq__,
+    Cond.NE: (0).__ne__,
+    Cond.LT: (0).__gt__,
+    Cond.LE: (0).__ge__,
+    Cond.GT: (0).__lt__,
+    Cond.GE: (0).__le__,
+}
 
 _COND_NEGATION = {
     Cond.EQ: Cond.NE,

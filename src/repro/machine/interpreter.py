@@ -24,6 +24,7 @@ rest of the system build on it without subclassing:
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -34,7 +35,8 @@ from ..errors import (
 from ..faults import injection as _faults
 from ..obs import context as _obs
 from ..isa.base import (
-    Decoded, Imm, Mem, Op, Reg, WORD_SIZE, to_signed, to_unsigned)
+    COND_TESTS, Decoded, Imm, Mem, Op, Reg, WORD_SIZE, to_signed,
+    to_unsigned)
 from .cpu import CPUState
 from .memory import Memory
 from .syscalls import OperatingSystem
@@ -286,10 +288,13 @@ class Interpreter:
         elif op is Op.CMP:
             self._execute_cmp(cpu, ops, info)
         elif op in _ALU_HANDLERS:
-            handler = _ALU_HANDLERS[op]
             dst_value = self._value(cpu, ops[0], info)
             src_value = self._value(cpu, ops[1], info)
-            self._write(cpu, ops[0], handler(cpu, dst_value, src_value), info)
+            try:
+                result = _ALU_HANDLERS[op](dst_value, src_value)
+            except ZeroDivisionError:
+                raise MachineFault(cpu.pc, _DIVISION_BY_ZERO) from None
+            self._write(cpu, ops[0], result, info)
         elif op is Op.NEG:
             self._write(cpu, ops[0],
                         to_unsigned(-to_signed(self._value(cpu, ops[0], info))),
@@ -301,7 +306,7 @@ class Interpreter:
             next_pc = self.hooks.resolve_target("jmp", cpu, ops[0].value)
             info.branch_taken, info.branch_target = True, next_pc
         elif op is Op.JCC:
-            if ins.cond.evaluate(cpu.cmp_value):
+            if COND_TESTS[ins.cond](cpu.cmp_value):
                 next_pc = self.hooks.resolve_target("jcc", cpu, ops[0].value)
                 info.branch_taken, info.branch_target = True, next_pc
         elif op is Op.CALL or op is Op.ICALL:
@@ -357,16 +362,27 @@ class Interpreter:
     # Compiled-block fast path (threaded code)
     # ------------------------------------------------------------------
     # Each decoded basic block is compiled once into a chain of small
-    # closures — one per instruction, specialized on the operand kinds —
-    # plus a terminator closure that performs the control transfer
-    # through the normal ExecutionHooks.  Dispatch then costs one dict
-    # lookup and one call per *block*.  The fast path runs only when no
-    # observer, breakpoint, or fault injector is active; an attached
-    # timing model keeps it (a block compiled while one is attached
-    # carries the model's static per-instruction plan, records its data
-    # addresses and branch outcome as it runs, and is charged once per
-    # execution).  Everything it does is bit-identical to the step()
-    # loop:
+    # closures plus a terminator closure that performs the control
+    # transfer through the normal ExecutionHooks.  Dispatch then costs
+    # one dict lookup and one call per *block*.
+    #
+    # Each instruction's closure is chosen for its operand form at
+    # compile time and does the whole instruction inline: register
+    # reads and writes index ``cpu.regs``, results are masked with
+    # ``& 0xFFFFFFFF``, and a memory operand is one accessor call (two
+    # with a timing model's address recorder in front).  An executed
+    # ``mov`` is one closure call plus at most one memory call.  Only
+    # rare forms (memory read-modify-write, push imm, push/pop/icall/ijmp
+    # through memory) compose the generic read/write closures.  ALU and
+    # branch-condition semantics come from ``_ALU_HANDLERS`` and
+    # ``COND_TESTS``, the same tables step() uses.
+    #
+    # The fast path runs only when no observer, breakpoint, or fault
+    # injector is active; an attached timing model keeps it (a block
+    # compiled while one is attached carries the model's static
+    # per-instruction plan, records its data addresses and branch
+    # outcome as it runs, and is charged once per execution).
+    # Everything it does is bit-identical to the step() loop:
     #
     # * ``cpu.pc`` is stored at the start of every instruction closure,
     #   so modelled faults surface with the exact same pc as step();
@@ -393,7 +409,7 @@ class Interpreter:
         return self._blocks.lookup(isa_name, pc)
 
     def _compile_read(self, operand, mem):
-        """Closure returning the operand's value, or None if unsupported."""
+        """Closure returning the operand's value (the generic path)."""
         if isinstance(operand, Reg):
             index = operand.index
             return lambda cpu: cpu.regs[index]
@@ -403,31 +419,36 @@ class Interpreter:
         if isinstance(operand, Mem):
             base, disp = operand.base, operand.disp
             read_word = mem.read_word
-            return lambda cpu: read_word(to_unsigned(cpu.regs[base] + disp))
+            return lambda cpu: read_word(
+                (cpu.regs[base] + disp) & 0xFFFFFFFF)
         return None
 
     def _compile_write(self, operand, mem):
-        """Closure storing a value into the operand, or None."""
+        """Closure storing a value into the operand (the generic path)."""
         if isinstance(operand, Reg):
             index = operand.index
 
             def write_reg(cpu, value):
-                cpu.regs[index] = to_unsigned(value)
+                cpu.regs[index] = value & 0xFFFFFFFF
             return write_reg
         if isinstance(operand, Mem):
             base, disp = operand.base, operand.disp
             write_word = mem.write_word
 
             def write_mem(cpu, value):
-                write_word(to_unsigned(cpu.regs[base] + disp), value)
+                write_word((cpu.regs[base] + disp) & 0xFFFFFFFF, value)
             return write_mem
         return None
 
     def _compile_body(self, decoded: Decoded, mem):
         """Compile one straight-line instruction into a closure, or None.
 
-        Data accesses go through ``mem`` (the memory, or a recorder of
-        its effective addresses when a timing model is attached).
+        Every common operand form gets a closure that does its whole job
+        inline; the rest (memory read-modify-write, push imm, push/pop
+        through memory) compose the generic ``_compile_read``/``_compile_write``
+        closures.  Data accesses go through ``mem`` (the memory, or a
+        recorder of its effective addresses when a timing model is
+        attached).
         """
         ins = decoded.instruction
         op = ins.op
@@ -440,15 +461,17 @@ class Interpreter:
             return do_nop
 
         if op is Op.MOV or op is Op.LOAD or op is Op.STORE:
-            read = self._compile_read(ops[1], mem)
-            write = self._compile_write(ops[0], mem)
-            if read is None or write is None:
-                return None
+            return self._compile_move(address, ops[0], ops[1], mem)
 
-            def do_mov(cpu):
-                cpu.pc = address
-                write(cpu, read(cpu))
-            return do_mov
+        handler = _ALU_HANDLERS.get(op)
+        if handler is not None:
+            fn = self._compile_alu(address, handler, ops[0], ops[1], mem)
+            if fn is not None and (op is Op.DIV or op is Op.MOD):
+                fn = _faulting_division(fn, address)
+            return fn
+
+        if op is Op.CMP:
+            return self._compile_cmp(address, ops[0], ops[1], mem)
 
         if op is Op.MOVT:
             index = ops[0].index
@@ -456,9 +479,19 @@ class Interpreter:
 
             def do_movt(cpu):
                 cpu.pc = address
-                cpu.regs[index] = to_unsigned(
-                    (cpu.regs[index] & 0xFFFF) | high)
+                regs = cpu.regs
+                regs[index] = (regs[index] & 0xFFFF) | high
             return do_movt
+
+        if op is Op.LEA:
+            index = ops[0].index
+            base, disp = ops[1].base, ops[1].disp
+
+            def do_lea(cpu):
+                cpu.pc = address
+                regs = cpu.regs
+                regs[index] = (regs[base] + disp) & 0xFFFFFFFF
+            return do_lea
 
         if op is Op.LOADB:
             base, disp = ops[1].base, ops[1].disp
@@ -469,7 +502,7 @@ class Interpreter:
 
             def do_loadb(cpu):
                 cpu.pc = address
-                write(cpu, read_u8(to_unsigned(cpu.regs[base] + disp)))
+                write(cpu, read_u8((cpu.regs[base] + disp) & 0xFFFFFFFF))
             return do_loadb
 
         if op is Op.STOREB:
@@ -481,74 +514,15 @@ class Interpreter:
 
             def do_storeb(cpu):
                 cpu.pc = address
-                target = to_unsigned(cpu.regs[base] + disp)
+                target = (cpu.regs[base] + disp) & 0xFFFFFFFF
                 write_u8(target, read(cpu) & 0xFF)
             return do_storeb
 
-        if op is Op.LEA:
-            index = ops[0].index
-            base, disp = ops[1].base, ops[1].disp
-
-            def do_lea(cpu):
-                cpu.pc = address
-                cpu.regs[index] = to_unsigned(cpu.regs[base] + disp)
-            return do_lea
-
         if op is Op.PUSH:
-            read = self._compile_read(ops[0], mem)
-            write_word = mem.write_word
-            sp_index = self.cpu.isa.sp
-            if read is None:
-                return None
-
-            def do_push(cpu):
-                cpu.pc = address
-                value = read(cpu)
-                regs = cpu.regs
-                sp = to_unsigned(regs[sp_index] - WORD_SIZE)
-                regs[sp_index] = sp
-                write_word(sp, value)
-            return do_push
+            return self._compile_push(address, ops[0], mem)
 
         if op is Op.POP:
-            write = self._compile_write(ops[0], mem)
-            read_word = mem.read_word
-            sp_index = self.cpu.isa.sp
-            if write is None:
-                return None
-
-            def do_pop(cpu):
-                cpu.pc = address
-                regs = cpu.regs
-                slot = regs[sp_index]
-                value = read_word(slot)
-                regs[sp_index] = to_unsigned(slot + WORD_SIZE)
-                write(cpu, value)
-            return do_pop
-
-        if op is Op.CMP:
-            read_dst = self._compile_read(ops[0], mem)
-            read_src = self._compile_read(ops[1], mem)
-            if read_dst is None or read_src is None:
-                return None
-
-            def do_cmp(cpu):
-                cpu.pc = address
-                cpu.set_compare(read_dst(cpu), read_src(cpu))
-            return do_cmp
-
-        handler = _ALU_HANDLERS.get(op)
-        if handler is not None:
-            read_dst = self._compile_read(ops[0], mem)
-            read_src = self._compile_read(ops[1], mem)
-            write_dst = self._compile_write(ops[0], mem)
-            if read_dst is None or read_src is None or write_dst is None:
-                return None
-
-            def do_alu(cpu):
-                cpu.pc = address
-                write_dst(cpu, handler(cpu, read_dst(cpu), read_src(cpu)))
-            return do_alu
+            return self._compile_pop(address, ops[0], mem)
 
         if op is Op.NEG or op is Op.NOT:
             read = self._compile_read(ops[0], mem)
@@ -558,15 +532,213 @@ class Interpreter:
             if op is Op.NEG:
                 def do_neg(cpu):
                     cpu.pc = address
-                    write(cpu, to_unsigned(-to_signed(read(cpu))))
+                    write(cpu, -read(cpu))
                 return do_neg
 
             def do_not(cpu):
                 cpu.pc = address
-                write(cpu, to_unsigned(~read(cpu)))
+                write(cpu, ~read(cpu))
             return do_not
 
         return None
+
+    def _compile_move(self, address, dst, src, mem):
+        """MOV/LOAD/STORE: reg<-reg, reg<-imm, reg<-[base+disp],
+        [base+disp]<-reg and [base+disp]<-imm, each inline."""
+        if isinstance(dst, Reg):
+            index = dst.index
+            if isinstance(src, Reg):
+                source = src.index
+
+                def mov_reg(cpu):
+                    cpu.pc = address
+                    regs = cpu.regs
+                    regs[index] = regs[source] & 0xFFFFFFFF
+                return mov_reg
+            if isinstance(src, Imm):
+                value = src.value
+
+                def mov_imm(cpu):
+                    cpu.pc = address
+                    cpu.regs[index] = value
+                return mov_imm
+            if isinstance(src, Mem):
+                base, disp = src.base, src.disp
+                read_word = mem.read_word
+
+                def load(cpu):
+                    cpu.pc = address
+                    regs = cpu.regs
+                    regs[index] = read_word((regs[base] + disp) & 0xFFFFFFFF)
+                return load
+        elif isinstance(dst, Mem) and isinstance(src, (Reg, Imm)):
+            base, disp = dst.base, dst.disp
+            write_word = mem.write_word
+            if isinstance(src, Reg):
+                source = src.index
+
+                def store(cpu):
+                    cpu.pc = address
+                    regs = cpu.regs
+                    write_word((regs[base] + disp) & 0xFFFFFFFF,
+                               regs[source])
+                return store
+            value = src.value
+
+            def store_imm(cpu):
+                cpu.pc = address
+                write_word((cpu.regs[base] + disp) & 0xFFFFFFFF, value)
+            return store_imm
+        return None                     # no ISA encodes memory to memory
+
+    def _compile_alu(self, address, handler, dst, src, mem):
+        """Two-operand ALU: a register destination with a reg, imm or
+        [base+disp] source inline; a memory destination is generic."""
+        if isinstance(dst, Reg):
+            index = dst.index
+            if isinstance(src, Reg):
+                source = src.index
+
+                def alu_reg(cpu):
+                    cpu.pc = address
+                    regs = cpu.regs
+                    regs[index] = handler(regs[index],
+                                          regs[source]) & 0xFFFFFFFF
+                return alu_reg
+            if isinstance(src, Imm):
+                value = src.value
+
+                def alu_imm(cpu):
+                    cpu.pc = address
+                    regs = cpu.regs
+                    regs[index] = handler(regs[index], value) & 0xFFFFFFFF
+                return alu_imm
+            if isinstance(src, Mem):
+                base, disp = src.base, src.disp
+                read_word = mem.read_word
+
+                def alu_mem(cpu):
+                    cpu.pc = address
+                    regs = cpu.regs
+                    regs[index] = handler(
+                        regs[index],
+                        read_word((regs[base] + disp) & 0xFFFFFFFF),
+                    ) & 0xFFFFFFFF
+                return alu_mem
+        read_dst = self._compile_read(dst, mem)
+        read_src = self._compile_read(src, mem)
+        write_dst = self._compile_write(dst, mem)
+        if read_dst is None or read_src is None or write_dst is None:
+            return None
+
+        def do_alu(cpu):
+            cpu.pc = address
+            write_dst(cpu, handler(read_dst(cpu), read_src(cpu)))
+        return do_alu
+
+    def _compile_cmp(self, address, dst, src, mem):
+        """CMP reg,reg / reg,imm / reg,[base+disp] inline; others generic.
+
+        ``cmp_value`` is the signed difference; biasing both sides by
+        2**31 (``(v ^ 0x80000000) & 0xFFFFFFFF`` is ``to_signed(v) +
+        2**31``) gives it without two ``to_signed`` calls.
+        """
+        if isinstance(dst, Reg):
+            index = dst.index
+            if isinstance(src, Reg):
+                source = src.index
+
+                def cmp_reg(cpu):
+                    cpu.pc = address
+                    regs = cpu.regs
+                    cpu.cmp_value = (((regs[index] ^ 0x80000000) & 0xFFFFFFFF)
+                                     - ((regs[source] ^ 0x80000000)
+                                        & 0xFFFFFFFF))
+                return cmp_reg
+            if isinstance(src, Imm):
+                biased = src.value ^ 0x80000000       # imm: 32-bit already
+
+                def cmp_imm(cpu):
+                    cpu.pc = address
+                    cpu.cmp_value = (((cpu.regs[index] ^ 0x80000000)
+                                      & 0xFFFFFFFF) - biased)
+                return cmp_imm
+            if isinstance(src, Mem):
+                base, disp = src.base, src.disp
+                read_word = mem.read_word
+
+                def cmp_mem(cpu):
+                    cpu.pc = address
+                    regs = cpu.regs
+                    value = read_word((regs[base] + disp) & 0xFFFFFFFF)
+                    cpu.cmp_value = (((regs[index] ^ 0x80000000) & 0xFFFFFFFF)
+                                     - (value ^ 0x80000000))
+                return cmp_mem
+        read_dst = self._compile_read(dst, mem)
+        read_src = self._compile_read(src, mem)
+        if read_dst is None or read_src is None:
+            return None
+
+        def do_cmp(cpu):
+            cpu.pc = address
+            cpu.set_compare(read_dst(cpu), read_src(cpu))
+        return do_cmp
+
+    def _compile_push(self, address, src, mem):
+        """PUSH reg inline; PUSH imm or [base+disp] generic."""
+        write_word = mem.write_word
+        sp_index = self.cpu.isa.sp
+        if isinstance(src, Reg):
+            source = src.index
+
+            def push_reg(cpu):
+                cpu.pc = address
+                regs = cpu.regs
+                value = regs[source]
+                sp = (regs[sp_index] - WORD_SIZE) & 0xFFFFFFFF
+                regs[sp_index] = sp
+                write_word(sp, value)
+            return push_reg
+        read = self._compile_read(src, mem)
+        if read is None:
+            return None
+
+        def do_push(cpu):
+            cpu.pc = address
+            value = read(cpu)
+            regs = cpu.regs
+            sp = (regs[sp_index] - WORD_SIZE) & 0xFFFFFFFF
+            regs[sp_index] = sp
+            write_word(sp, value)
+        return do_push
+
+    def _compile_pop(self, address, dst, mem):
+        """POP reg inline; POP [base+disp] generic."""
+        read_word = mem.read_word
+        sp_index = self.cpu.isa.sp
+        if isinstance(dst, Reg):
+            index = dst.index
+
+            def pop_reg(cpu):
+                cpu.pc = address
+                regs = cpu.regs
+                slot = regs[sp_index]
+                value = read_word(slot)
+                regs[sp_index] = (slot + WORD_SIZE) & 0xFFFFFFFF
+                regs[index] = value
+            return pop_reg
+        write = self._compile_write(dst, mem)
+        if write is None:
+            return None
+
+        def do_pop(cpu):
+            cpu.pc = address
+            regs = cpu.regs
+            slot = regs[sp_index]
+            value = read_word(slot)
+            regs[sp_index] = (slot + WORD_SIZE) & 0xFFFFFFFF
+            write(cpu, value)
+        return do_pop
 
     def _compile_terminator(self, decoded: Decoded, mem, outcome):
         """Closure executing a block-ending instruction; returns next pc.
@@ -605,11 +777,11 @@ class Interpreter:
 
         if op is Op.JCC:
             target = ops[0].value
-            evaluate = ins.cond.evaluate
+            test = COND_TESTS[ins.cond]
             if outcome is not None:
                 def do_jcc_timed(cpu):
                     cpu.pc = address
-                    taken = outcome[0] = evaluate(cpu.cmp_value)
+                    taken = outcome[0] = test(cpu.cmp_value)
                     if taken:
                         return interp.hooks.resolve_target("jcc", cpu,
                                                            target)
@@ -618,7 +790,7 @@ class Interpreter:
 
             def do_jcc(cpu):
                 cpu.pc = address
-                if evaluate(cpu.cmp_value):
+                if test(cpu.cmp_value):
                     return interp.hooks.resolve_target("jcc", cpu, target)
                 return fall
             return do_jcc
@@ -654,11 +826,11 @@ class Interpreter:
                 target = hooks.resolve_target(kind, cpu, target)
                 if pushes:
                     regs = cpu.regs
-                    sp = to_unsigned(regs[sp_index] - WORD_SIZE)
+                    sp = (regs[sp_index] - WORD_SIZE) & 0xFFFFFFFF
                     regs[sp_index] = sp
                     write_word(sp, saved)
                 else:
-                    cpu.regs[lr_index] = to_unsigned(saved)
+                    cpu.regs[lr_index] = saved & 0xFFFFFFFF
                 return target
             return do_call
 
@@ -671,7 +843,7 @@ class Interpreter:
                 regs = cpu.regs
                 slot = regs[sp_index]
                 source = read_word(slot)
-                regs[sp_index] = to_unsigned(slot + WORD_SIZE)
+                regs[sp_index] = (slot + WORD_SIZE) & 0xFFFFFFFF
                 return interp.hooks.resolve_target("ret", cpu, source)
             return do_ret
 
@@ -825,7 +997,7 @@ class Interpreter:
         while True:
             if block.steps > remaining:
                 return
-            next_pc = to_unsigned(block.execute(cpu))
+            next_pc = block.execute(cpu) & 0xFFFFFFFF
             remaining -= block.steps
             cpu.pc = next_pc
             if cpu.halted:
@@ -872,7 +1044,7 @@ class Interpreter:
             before = self.steps_executed
             begin = perf()
             try:
-                next_pc = to_unsigned(block.execute(cpu))
+                next_pc = block.execute(cpu) & 0xFFFFFFFF
             finally:
                 elapsed = perf() - begin
                 stepped = self.steps_executed - before
@@ -1007,68 +1179,56 @@ def _data_accesses(ins, call_pushes_return: bool) -> int:
     return count
 
 
-def _shift_amount(value: int) -> int:
-    return value & 31
+_DIVISION_BY_ZERO = "integer division by zero"
 
 
-def _alu_add(cpu, a, b):
-    return a + b
+def _faulting_division(fn, address: int):
+    """Wrap a compiled DIV/MOD closure: its handler's ZeroDivisionError
+    becomes the modelled fault at the instruction's pc, as in step()."""
+    def divide(cpu):
+        try:
+            fn(cpu)
+        except ZeroDivisionError:
+            raise MachineFault(address, _DIVISION_BY_ZERO) from None
+    return divide
 
 
-def _alu_sub(cpu, a, b):
-    return a - b
-
-
-def _alu_mul(cpu, a, b):
-    return to_signed(a) * to_signed(b)
-
-
-def _alu_div(cpu, a, b):
-    if to_signed(b) == 0:
-        raise MachineFault(cpu.pc, "integer division by zero")
+def _alu_div(a, b):
     return int(to_signed(a) / to_signed(b))  # C-style truncation
 
 
-def _alu_mod(cpu, a, b):
-    if to_signed(b) == 0:
-        raise MachineFault(cpu.pc, "integer division by zero")
+def _alu_mod(a, b):
     sa, sb = to_signed(a), to_signed(b)
     return sa - int(sa / sb) * sb
 
 
-def _alu_and(cpu, a, b):
-    return a & b
+def _alu_shl(a, b):
+    return a << (b & 31)
 
 
-def _alu_or(cpu, a, b):
-    return a | b
+def _alu_shr(a, b):
+    return (a & 0xFFFFFFFF) >> (b & 31)
 
 
-def _alu_xor(cpu, a, b):
-    return a ^ b
+def _alu_sar(a, b):
+    return to_signed(a) >> (b & 31)
 
 
-def _alu_shl(cpu, a, b):
-    return a << _shift_amount(b)
-
-
-def _alu_shr(cpu, a, b):
-    return (a & 0xFFFFFFFF) >> _shift_amount(b)
-
-
-def _alu_sar(cpu, a, b):
-    return to_signed(a) >> _shift_amount(b)
-
-
+#: the one ALU table, shared by step() and the compiled blocks.  Each
+#: handler maps the two operand values to a result the caller truncates
+#: to 32 bits; multiplication is ``operator.mul`` because the low 32 bits
+#: of a product do not depend on the operands' signedness.  DIV and MOD
+#: raise ZeroDivisionError, which both callers turn into a MachineFault
+#: at the instruction's pc.
 _ALU_HANDLERS = {
-    Op.ADD: _alu_add,
-    Op.SUB: _alu_sub,
-    Op.MUL: _alu_mul,
+    Op.ADD: operator.add,
+    Op.SUB: operator.sub,
+    Op.MUL: operator.mul,
     Op.DIV: _alu_div,
     Op.MOD: _alu_mod,
-    Op.AND: _alu_and,
-    Op.OR: _alu_or,
-    Op.XOR: _alu_xor,
+    Op.AND: operator.and_,
+    Op.OR: operator.or_,
+    Op.XOR: operator.xor,
     Op.SHL: _alu_shl,
     Op.SHR: _alu_shr,
     Op.SAR: _alu_sar,

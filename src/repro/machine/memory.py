@@ -17,6 +17,8 @@ from ..errors import ConfigError, SegmentationFault
 from ..isa.base import WORD_SIZE, to_unsigned
 
 _WORD = struct.Struct("<I")
+_unpack_word = _WORD.unpack_from
+_pack_word = _WORD.pack_into
 
 
 @dataclass
@@ -42,9 +44,6 @@ class Segment:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, address: int, length: int = 1) -> bool:
-        return self.base <= address and address + length <= self.end
-
     def __repr__(self) -> str:
         perms = "".join(
             flag if enabled else "-"
@@ -63,6 +62,39 @@ class Memory:
         #: cluster (stack, then data, then stack again), so checking it
         #: first skips the scan.  Mapping changes reset it.
         self._last: Optional[Segment] = None
+        self._forget_accessed()
+
+    def _forget_accessed(self) -> None:
+        """Reset the last-readable and last-writable segment caches.
+
+        The word/byte accessors first try the segment the last read (or
+        write) resolved to, with one bounds test on the offset: base,
+        data, and the last offset a word or byte access may start at.
+        Only a segment that passed the permission check is cached, so a
+        hit needs none.  The empty state (last offsets -1) never hits.
+        """
+        self._read_base = self._write_base = 0
+        self._read_word_last = self._read_byte_last = -1
+        self._write_word_last = self._write_byte_last = -1
+        self._read_data = self._write_data = bytearray()
+
+    def _readable(self, address: int, length: int) -> Segment:
+        """:meth:`_locate` for a read, remembering the segment."""
+        segment = self._locate(address, length, "read")
+        self._read_base = segment.base
+        self._read_data = segment.data
+        self._read_word_last = segment.size - WORD_SIZE
+        self._read_byte_last = segment.size - 1
+        return segment
+
+    def _writable(self, address: int, length: int) -> Segment:
+        """:meth:`_locate` for a write, remembering the segment."""
+        segment = self._locate(address, length, "write")
+        self._write_base = segment.base
+        self._write_data = segment.data
+        self._write_word_last = segment.size - WORD_SIZE
+        self._write_byte_last = segment.size - 1
+        return segment
 
     # ------------------------------------------------------------------
     # Mapping
@@ -78,6 +110,7 @@ class Memory:
         self._segments.sort(key=lambda s: s.base)
         self._by_name[segment.name] = segment
         self._last = None
+        self._forget_accessed()
         return segment
 
     def map(self, name: str, base: int, size: int, *, readable: bool = True,
@@ -94,6 +127,7 @@ class Memory:
         segment = self._by_name.pop(name)
         self._segments.remove(segment)
         self._last = None
+        self._forget_accessed()
 
     def segment(self, name: str) -> Segment:
         return self._by_name[name]
@@ -109,8 +143,9 @@ class Memory:
         if last is not None and last.base <= address \
                 and address + length <= last.base + last.size:
             return last
+        end = address + length
         for segment in self._segments:
-            if segment.contains(address, length):
+            if segment.base <= address and end <= segment.base + segment.size:
                 self._last = segment
                 return segment
         return None
@@ -145,25 +180,38 @@ class Memory:
         segment.data[offset:offset + len(data)] = data
 
     def read_u8(self, address: int) -> int:
-        address = to_unsigned(address)
-        segment = self._locate(address, 1, "read")
+        address &= 0xFFFFFFFF
+        offset = address - self._read_base
+        if 0 <= offset <= self._read_byte_last:
+            return self._read_data[offset]
+        segment = self._readable(address, 1)
         return segment.data[address - segment.base]
 
     def write_u8(self, address: int, value: int) -> None:
-        address = to_unsigned(address)
-        segment = self._locate(address, 1, "write")
+        address &= 0xFFFFFFFF
+        offset = address - self._write_base
+        if 0 <= offset <= self._write_byte_last:
+            self._write_data[offset] = value & 0xFF
+            return
+        segment = self._writable(address, 1)
         segment.data[address - segment.base] = value & 0xFF
 
     def read_word(self, address: int) -> int:
-        address = to_unsigned(address)
-        segment = self._locate(address, WORD_SIZE, "read")
-        return _WORD.unpack_from(segment.data, address - segment.base)[0]
+        address &= 0xFFFFFFFF
+        offset = address - self._read_base
+        if 0 <= offset <= self._read_word_last:
+            return _unpack_word(self._read_data, offset)[0]
+        segment = self._readable(address, WORD_SIZE)
+        return _unpack_word(segment.data, address - segment.base)[0]
 
     def write_word(self, address: int, value: int) -> None:
-        address = to_unsigned(address)
-        segment = self._locate(address, WORD_SIZE, "write")
-        _WORD.pack_into(segment.data, address - segment.base,
-                        to_unsigned(value))
+        address &= 0xFFFFFFFF
+        offset = address - self._write_base
+        if 0 <= offset <= self._write_word_last:
+            _pack_word(self._write_data, offset, value & 0xFFFFFFFF)
+            return
+        segment = self._writable(address, WORD_SIZE)
+        _pack_word(segment.data, address - segment.base, value & 0xFFFFFFFF)
 
     def read_cstring(self, address: int, limit: int = 4096) -> bytes:
         """Read a NUL-terminated byte string (used by the syscall layer)."""

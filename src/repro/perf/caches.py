@@ -37,15 +37,13 @@ class Cache:
         self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
-    def _locate(self, address: int):
-        block = address >> self.offset_bits
-        return block % self.num_sets, block
-
     def access(self, address: int) -> bool:
         """Touch one address; returns True on hit."""
-        index, tag = self._locate(address)
-        ways = self._sets[index]
+        tag = address >> self.offset_bits
+        ways = self._sets[tag % self.num_sets]
         self.stats.accesses += 1
+        if ways and ways[-1] == tag:
+            return True                 # already most recently used
         if tag in ways:
             ways.remove(tag)
             ways.append(tag)

@@ -41,17 +41,38 @@ def test_unknown_experiment_is_rejected(tmp_path):
     assert "fig99" in result.stderr
 
 
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("figures_ledger", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_committed_ledger_covers_every_experiment():
     sys.path.insert(0, str(_ROOT / "src"))
     from repro.cli import EXPERIMENTS
     committed = json.loads((_ROOT / "figures-golden.json").read_text())
-    assert sorted(committed["digests"]) == sorted(EXPERIMENTS)
+    ablations = _load_tool().ablation_names()
+    assert ablations == ["ablation_register_permutation",
+                         "ablation_rerandomization", "ablation_superblocks"]
+    assert sorted(committed["digests"]) == sorted([*EXPERIMENTS, *ablations])
+
+
+def test_ablation_round_trips(tmp_path):
+    ledger = tmp_path / "golden.json"
+    name = "ablation_rerandomization"
+    assert _ledger("update", name, "--ledger", str(ledger)).returncode == 0
+    assert list(json.loads(ledger.read_text())["digests"]) == [name]
+    result = _ledger("check", name, "--ledger", str(ledger))
+    assert result.returncode == 0, result.stdout + result.stderr
+    committed = json.loads((_ROOT / "figures-golden.json").read_text())
+    assert _ledger("check", name).returncode == 0
+    assert json.loads(ledger.read_text())["digests"][name] == \
+        committed["digests"][name]
 
 
 def test_host_time_fields_are_stripped():
-    spec = importlib.util.spec_from_file_location("figures_ledger", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load_tool()
     payload = {"rows": [{"seconds": 1.5, "stage_seconds": {"walk": 1},
                          "cycles": 2.0}], "seconds": 3}
     assert module.strip_host_time(payload) == {"rows": [{"cycles": 2.0}]}

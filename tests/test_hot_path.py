@@ -13,8 +13,9 @@ import os
 
 import pytest
 
-from repro.isa import Assembler, Cond, Imm, Instruction, Label, Op, Reg, \
-    X86LIKE
+from repro.errors import AssemblerError
+from repro.isa import Assembler, Cond, Imm, Instruction, Label, Mem, Op, \
+    Reg, X86LIKE
 from repro.machine import CPUState, Interpreter, Memory, OperatingSystem
 from repro.runtime.engine import (
     ENV_BATCH,
@@ -374,6 +375,261 @@ class TestTimedCompiledPath:
         assert process.interpreter.compiled_block_count == 0
         process.run(1_000)
         assert timing.instructions == 1_000
+
+
+# ---------------------------------------------------------------------
+# Differential oracle: every opcode x operand form, fast path vs step()
+# ---------------------------------------------------------------------
+_INT_MIN, _INT_MAX, _MASK = 0x80000000, 0x7FFFFFFF, 0xFFFFFFFF
+#: operand values: 0, +-1, INT_MIN, INT_MAX, shift counts >= 32, and a
+#: pattern with high and low bits set
+_ORACLE_VALUES = (0, 1, _MASK, _INT_MIN, _INT_MAX, 32, 37, 0x8765FEDC)
+_CODE, _DATA, _STACK = 0x1000, 0x6000, 0x8000
+_BASE_REG, _BASE, _DISP = 5, 0x6800, 8
+_STACK_TOP = 0x8800
+
+
+def _signed(value):
+    value &= _MASK
+    return value - (1 << 32) if value & _INT_MIN else value
+
+
+def _trunc_div(a, b):
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
+
+
+#: the 32-bit semantics of every ALU opcode, written out independently
+#: of the interpreter's own table
+_ALU_REFERENCE = {
+    Op.ADD: lambda a, b: a + b,
+    Op.SUB: lambda a, b: a - b,
+    Op.MUL: lambda a, b: _signed(a) * _signed(b),
+    Op.DIV: lambda a, b: _trunc_div(_signed(a), _signed(b)),
+    Op.MOD: lambda a, b: (_signed(a)
+                          - _trunc_div(_signed(a), _signed(b)) * _signed(b)),
+    Op.AND: lambda a, b: a & b,
+    Op.OR: lambda a, b: a | b,
+    Op.XOR: lambda a, b: a ^ b,
+    Op.SHL: lambda a, b: a << (b % 32),
+    Op.SHR: lambda a, b: a >> (b % 32),
+    Op.SAR: lambda a, b: _signed(a) >> (b % 32),
+}
+_COND_REFERENCE = {
+    Cond.EQ: lambda a, b: a == b, Cond.NE: lambda a, b: a != b,
+    Cond.LT: lambda a, b: a < b, Cond.LE: lambda a, b: a <= b,
+    Cond.GT: lambda a, b: a > b, Cond.GE: lambda a, b: a >= b,
+}
+_TWO_OPERAND = (Op.MOV, Op.LOAD, Op.STORE, Op.LOADB, Op.STOREB, Op.LEA,
+                Op.MOVT, Op.CMP) + tuple(_ALU_REFERENCE)
+_ONE_OPERAND = (Op.NEG, Op.NOT, Op.PUSH, Op.POP)
+
+
+def _encodable(isa, ins):
+    try:
+        data = isa.encode(ins, _CODE)
+    except AssemblerError:
+        return False
+    # the form must survive a round trip (armlike's imm16 sign-extends)
+    return isa.decode(data, 0, _CODE).instruction.operands == ins.operands
+
+
+def _oracle_cases(isa):
+    """(instruction, dst value, src value) for every operand form the
+    ISA encodes, over every pair of oracle values."""
+    memory = Mem(_BASE_REG, _DISP)
+    for op in _TWO_OPERAND:
+        # one register destination: r0, or r2 where only that encodes
+        # (x86like's MOD writes edx)
+        dsts = [dst for dst in (Reg(0), Reg(2))
+                if any(_encodable(isa, Instruction(op, (dst, src)))
+                       for src in (Reg(1), Imm(1), memory))][:1]
+        for dst in dsts + [memory]:
+            for src in (Reg(1), Imm(1), memory):
+                if not _encodable(isa, Instruction(op, (dst, src))):
+                    continue
+                for a in _ORACLE_VALUES:
+                    for b in _ORACLE_VALUES:
+                        operand = Imm(b) if isinstance(src, Imm) else src
+                        ins = Instruction(op, (dst, operand))
+                        if _encodable(isa, ins):
+                            yield ins, a, b
+    for op in _ONE_OPERAND:
+        for operand in (Reg(0), Imm(0x8765FEDC), memory):
+            ins = Instruction(op, (operand,))
+            if _encodable(isa, ins):
+                for a in _ORACLE_VALUES:
+                    yield ins, a, 0
+
+
+def _oracle_machine(isa, instructions, a, b, wide=False):
+    """Assemble ``NOP; <instructions>; HLT; target: HLT`` with the dst
+    value ``a`` in r0, r2 and the stack slot, the src value ``b`` in r1,
+    and the memory operand's word holding whichever of the two it is.
+
+    ``wide`` plants every register value off by a multiple of 2**32
+    (the base register and the stack pointer too): both paths must
+    truncate them to the same 32-bit results."""
+    asm = Assembler(isa)
+    asm.emit(Instruction(Op.NOP))
+    for ins in instructions:
+        asm.emit(ins)
+    asm.emit(Instruction(Op.HLT))
+    asm.label("target")
+    asm.emit(Instruction(Op.HLT))
+    unit = asm.assemble(_CODE)
+    memory = Memory()
+    memory.map("code", _CODE, 0x1000, writable=False, executable=True,
+               data=unit.data)
+    memory.map("data", _DATA, 0x1000)
+    memory.map("stack", _STACK, 0x1000)
+    cpu = CPUState(isa, pc=_CODE)
+    excess = 1 << 32 if wide else 0
+    for index in range(isa.num_registers):
+        cpu.regs[index] = ((0x01010101 * (index + 3)) & _MASK) + excess
+    cpu.regs[0] = cpu.regs[2] = a - excess
+    cpu.regs[1] = b + excess
+    cpu.regs[_BASE_REG] = _BASE + excess
+    cpu.regs[isa.sp] = _STACK_TOP + excess
+    first = instructions[0].operands[:1]
+    memory.write_word(_BASE + _DISP,
+                      a if first and isinstance(first[0], Mem) else b)
+    memory.write_word(_STACK_TOP, a)
+    return Interpreter(cpu, memory, OperatingSystem()), unit
+
+
+def _oracle_state(interp, result, timing):
+    memory = interp.memory
+    state = {
+        "result": (result.steps, result.reason),
+        "fault": None if result.fault is None
+        else (type(result.fault), result.fault.address, str(result.fault)),
+        "steps": interp.steps_executed,
+        "cpu": interp.cpu.snapshot(),
+        "halted": interp.cpu.halted,
+        "memory": [bytes(memory.segment(name).data)
+                   for name in ("data", "stack")],
+    }
+    if timing is not None:
+        # the resident D-cache lines tell a truncated effective address
+        # from one that is only congruent to it
+        state["timing"] = (_timing_state(timing), timing.dcache._sets)
+    return state
+
+
+def _oracle_paths(isa, instructions, a, b):
+    """The final state on the compiled path and on step(), untimed and
+    with a timing model attached; asserts they agree pairwise.  The
+    timed pair starts from wide register values (see
+    :func:`_oracle_machine`); the untimed state is returned."""
+    from repro.perf import TimingModel
+    from repro.perf.cores import CORES
+    states = {}
+    for timed in (False, True):
+        for fast in (True, False):
+            interp, unit = _oracle_machine(isa, instructions, a, b,
+                                           wide=timed)
+            timing = TimingModel(CORES[isa.name]) if timed else None
+            if fast and timed:
+                interp.attach_timing(timing)
+            elif timed:
+                interp.observers.append(timing.observe)
+            elif not fast:
+                interp.observers.append(lambda cpu, info: None)
+            result = interp.run(100)
+            assert (interp.compiled_block_count > 0) == fast
+            states[timed, fast] = _oracle_state(interp, result, timing)
+        assert states[timed, True] == states[timed, False], \
+            (instructions, a, b, timed)
+    return states[False, True], unit
+
+
+@pytest.mark.parametrize("isa_name", ["x86like", "armlike"])
+def test_oracle_every_opcode_and_operand_form(isa_name):
+    from repro.errors import MachineFault
+    from repro.isa import ISAS
+    isa = ISAS[isa_name]
+    fault_pc = _CODE + len(isa.encode(Instruction(Op.NOP)))
+    forms = set()
+    for ins, a, b in _oracle_cases(isa):
+        state, _ = _oracle_paths(isa, [ins], a, b)
+        forms.add((ins.op, tuple(type(o) for o in ins.operands)))
+        op, dst = ins.op, ins.operands[0]
+        if op in (Op.DIV, Op.MOD) and _signed(b) == 0:
+            # the fault names the instruction; only the NOP completed
+            assert state["result"] == (1, "fault")
+            assert state["fault"][:2] == (MachineFault, fault_pc)
+            assert "division by zero" in state["fault"][2]
+            continue
+        assert state["halted"], (ins, a, b)
+        if op in _ALU_REFERENCE and isinstance(dst, Reg):
+            expected = _ALU_REFERENCE[op](a, b) & _MASK
+            assert state["cpu"]["regs"][dst.index] == expected, (ins, a, b)
+        if op is Op.CMP and isinstance(dst, Reg):
+            assert state["cpu"]["cmp"] == _signed(a) - _signed(b)
+    # every form each ISA encodes is covered, the rare ones included
+    if isa_name == "x86like":
+        for form in ((Op.ADD, (Mem, Reg)), (Op.PUSH, (Mem,)),
+                     (Op.POP, (Mem,)), (Op.STORE, (Mem, Imm)),
+                     (Op.CMP, (Reg, Mem)), (Op.MUL, (Reg, Imm))):
+            assert form in forms
+        assert len(forms) == 50
+    else:
+        assert (Op.MOVT, (Reg, Imm)) in forms
+        assert len(forms) == 33
+
+
+@pytest.mark.parametrize("isa_name", ["x86like", "armlike"])
+def test_oracle_compare_and_branch(isa_name):
+    """CMP reg,reg and reg,imm, then every condition: the branch goes
+    where the signed comparison says, on both paths."""
+    from repro.isa import ISAS
+    isa = ISAS[isa_name]
+    outcomes = set()
+    for cond in Cond:
+        for a in _ORACLE_VALUES:
+            for b in _ORACLE_VALUES:
+                for src in (Reg(1), Imm(b)):
+                    compare = Instruction(Op.CMP, (Reg(0), src))
+                    if not _encodable(isa, compare):
+                        continue
+                    branch = Instruction(Op.JCC, (Label("target"),),
+                                         cond=cond)
+                    state, unit = _oracle_paths(isa, [compare, branch],
+                                                a, b)
+                    taken = _COND_REFERENCE[cond](_signed(a), _signed(b))
+                    assert state["cpu"]["cmp"] == _signed(a) - _signed(b)
+                    # the HLT before ``target`` stops at target, the one
+                    # at it one past
+                    target = unit.symbols["target"]
+                    assert state["halted"]
+                    assert (state["cpu"]["pc"] > target) == taken, \
+                        (cond, a, b, src)
+                    outcomes.add((cond, taken))
+    assert len(outcomes) == 2 * len(Cond)
+
+
+@pytest.mark.parametrize("isa_name", ["x86like", "armlike"])
+def test_oracle_control_transfers(isa_name):
+    """Every transfer form lands on ``target``: direct targets by label,
+    indirect ones through r1 or the memory word, RET through the stack
+    slot, all of which hold target's address."""
+    from repro.isa import ISAS
+    isa = ISAS[isa_name]
+    memory = Mem(_BASE_REG, _DISP)
+    forms = [Instruction(Op.JMP, (Label("target"),)),
+             Instruction(Op.CALL, (Label("target"),)),
+             Instruction(Op.RET)]
+    forms += [Instruction(op, (operand,))
+              for op in (Op.ICALL, Op.IJMP) for operand in (Reg(1), memory)
+              if _encodable(isa, Instruction(op, (operand,)))]
+    for ins in forms:
+        target = _oracle_machine(isa, [ins], 0, 0)[1].symbols["target"]
+        state, _ = _oracle_paths(isa, [ins], target, target)
+        assert state["halted"]
+        assert state["cpu"]["pc"] == target + \
+            len(isa.encode(Instruction(Op.HLT))), ins
+    assert len(forms) == (7 if isa_name == "x86like" else 5)
 
 
 # ---------------------------------------------------------------------

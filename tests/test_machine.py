@@ -132,6 +132,77 @@ class TestMemory:
             f"segmentation fault ({access}) at {info.value.address:#x}"
         assert info.value.address in (0x9000, 0x4000, 0x4004, 0x1000)
 
+    # -- the last-readable / last-writable segment caches ---------------
+    def test_cached_readonly_segment_still_refuses_writes(self):
+        mem = self.make()
+        assert mem.read_word(0x4000) == 0x90909090  # rom: last readable
+        assert mem.read_u8(0x4001) == 0x90
+        mem.write_word(0x1000, 7)                   # ram: last writable
+        for write in (lambda: mem.write_word(0x4000, 1),
+                      lambda: mem.write_u8(0x4004, 1)):
+            with pytest.raises(SegmentationFault) as info:
+                write()
+            assert info.value.access == "write"
+        assert mem.read_word(0x4000) == 0x90909090  # untouched
+
+    def test_cached_segment_refuses_straddling_word(self):
+        mem = Memory()
+        mem.map("low", 0x1000, 0x1000)
+        mem.map("high", 0x2000, 0x1000)
+        mem.write_word(0x1FFC, 0x11223344)          # both caches: low
+        assert mem.read_word(0x1FFC) == 0x11223344  # the last full word
+        for offset in (1, 2, 3):
+            for access, call in (("read", mem.read_word),
+                                 ("write", lambda a: mem.write_word(a, 1))):
+                with pytest.raises(SegmentationFault) as info:
+                    call(0x1FFC + offset)
+                assert (info.value.address, info.value.access) == \
+                    (0x1FFC + offset, access)
+        assert mem.read_u8(0x1FFF) == 0x11          # a byte still fits
+        mem.write_u8(0x1FFF, 0x55)
+        assert mem.read_word(0x1FFC) == 0x55223344
+        assert mem.read_word(0x2000) == 0           # high, via the miss
+
+    def test_cached_segment_below_its_base_misses(self):
+        mem = self.make()
+        mem.write_word(0x1000, 1)
+        with pytest.raises(SegmentationFault):
+            mem.read_word(0x0FFC)
+        with pytest.raises(SegmentationFault):
+            mem.write_word(0x0FFF, 1)
+        assert mem.read_word(0x1000 - 2**32) == 1   # addresses wrap
+
+    def test_unmap_resets_both_caches(self):
+        mem = self.make()
+        mem.write_word(0x1010, 5)
+        assert mem.read_word(0x1010) == 5           # ram cached both ways
+        mem.unmap("ram")
+        for call in (lambda: mem.read_word(0x1010),
+                     lambda: mem.read_u8(0x1010),
+                     lambda: mem.write_word(0x1010, 1),
+                     lambda: mem.write_u8(0x1010, 1)):
+            with pytest.raises(SegmentationFault):
+                call()
+
+    def test_remap_at_same_base_resets_both_caches(self):
+        mem = self.make()
+        mem.write_word(0x1010, 5)
+        assert mem.read_word(0x1010) == 5
+        mem.unmap("ram")
+        fresh = mem.map("ram2", 0x1000, 0x100, writable=False)
+        assert mem.read_word(0x1010) == 0           # the new segment's data
+        with pytest.raises(SegmentationFault):
+            mem.write_word(0x1010, 1)               # and its permissions
+        with pytest.raises(SegmentationFault):
+            mem.read_word(0x1800)                   # and its size
+        rewritable = Memory()
+        rewritable.map("ram", 0x1000, 0x1000)
+        rewritable.write_word(0x1010, 5)
+        rewritable.unmap("ram")
+        again = rewritable.map("ram", 0x1000, 0x1000)
+        rewritable.write_word(0x1010, 9)
+        assert again.data[0x10] == 9
+
     @given(st.integers(0, 0xFF8), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_word_roundtrip_property(self, offset, value):

@@ -67,6 +67,53 @@ class TestCache:
             assert len(ways) <= 2
 
 
+class _ReferenceLRU:
+    """Set-associative LRU as a plain list per set, most recent last."""
+
+    def __init__(self, num_sets, associativity, offset_bits):
+        self.sets = [[] for _ in range(num_sets)]
+        self.associativity = associativity
+        self.offset_bits = offset_bits
+        self.accesses = self.misses = 0
+
+    def access(self, address):
+        block = address >> self.offset_bits
+        ways = self.sets[block % len(self.sets)]
+        self.accesses += 1
+        if block in ways:
+            ways.remove(block)
+            ways.append(block)
+            return True
+        self.misses += 1
+        ways.append(block)
+        if len(ways) > self.associativity:
+            del ways[0]
+        return False
+
+
+@pytest.mark.parametrize("size, assoc, line", [
+    (256, 1, 64), (512, 2, 64), (1024, 4, 32), (4096, 8, 64), (64, 1, 64)])
+def test_cache_matches_reference_lru_on_random_traces(size, assoc, line):
+    import random
+    rng = random.Random(size * 31 + assoc)
+    for _ in range(20):
+        cache = Cache(CacheConfig(size=size, associativity=assoc,
+                                  line_size=line))
+        reference = _ReferenceLRU(cache.num_sets, assoc, cache.offset_bits)
+        # a small footprint with runs of repeats: MRU hits, reorders and
+        # evictions all occur
+        footprint = [rng.randrange(0, 8 * size) for _ in range(12)]
+        trace = []
+        for _ in range(400):
+            address = rng.choice(footprint) + rng.randrange(line)
+            trace.extend([address] * rng.choice((1, 1, 2, 3)))
+        outcomes = [cache.access(address) for address in trace]
+        assert outcomes == [reference.access(address) for address in trace]
+        assert (cache.stats.accesses, cache.stats.misses) == \
+            (reference.accesses, reference.misses)
+        assert cache._sets == reference.sets
+
+
 class TestBranchPredictor:
     def test_learns_a_loop(self):
         predictor = BranchPredictor()

@@ -9,7 +9,10 @@ Usage::
 Every ``repro experiment`` name (``cli.EXPERIMENTS``) is regenerated
 cold (``REPRO_NO_CACHE=1``) through the same ``execute_spec`` call the
 CLI and the serve daemon use, and its full-precision payload is
-digested with ``result_digest``.  The rendered tables are deliberately
+digested with ``result_digest``.  Every ablation benchmark
+(``benchmarks/test_ablation_<name>.py``, ledger name
+``ablation_<name>``) is pinned the same way: its module-level
+``_run()`` payload, regenerated cold.  The rendered tables are deliberately
 *not* digested: they round to three decimals and would hide a last-bit
 change in a modelled cycle count.  Keys named ``seconds`` or ending in
 ``_seconds`` are stripped first, so host wall time can never churn the
@@ -26,6 +29,8 @@ on it.
 from __future__ import annotations
 
 import argparse
+import glob
+import importlib
 import json
 import os
 import sys
@@ -52,6 +57,19 @@ def experiment_digest(name: str) -> str:
     return result_digest(strip_host_time(execute_spec(spec)))
 
 
+def ablation_names():
+    """Ledger names of the ablation benchmarks, in file order."""
+    pattern = os.path.join(_ROOT, "benchmarks", "test_ablation_*.py")
+    return sorted(os.path.basename(path)[len("test_"):-len(".py")]
+                  for path in glob.glob(pattern))
+
+
+def ablation_digest(name: str) -> str:
+    from repro.serve.spec import normalize, result_digest
+    module = importlib.import_module(f"benchmarks.test_{name}")
+    return result_digest(strip_host_time(normalize(module._run())))
+
+
 def load_ledger(path: str) -> Dict[str, str]:
     if not os.path.exists(path):
         return {}
@@ -73,25 +91,30 @@ def main(argv=None) -> int:
     # cold by construction: set before the first repro import
     os.environ["REPRO_NO_CACHE"] = "1"
     sys.path.insert(0, os.path.join(_ROOT, "src"))
+    sys.path.insert(0, _ROOT)
     from repro.cli import EXPERIMENTS
+    ablations = ablation_names()
+    known = sorted(EXPERIMENTS) + ablations
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("mode", choices=("check", "update"))
     parser.add_argument("names", nargs="*", metavar="NAME",
-                        help="experiments to run (default: all)")
+                        help="experiments or ablations to run "
+                             "(default: all)")
     parser.add_argument("--ledger", default=DEFAULT_LEDGER)
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.names) - set(EXPERIMENTS))
+    unknown = sorted(set(args.names) - set(known))
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}",
               file=sys.stderr)
         return 2
-    names = args.names or sorted(EXPERIMENTS)
+    names = args.names or known
     ledger = load_ledger(args.ledger)
     computed: Dict[str, str] = {}
     failures = 0
     for name in names:
         started = time.perf_counter()
-        computed[name] = experiment_digest(name)
+        computed[name] = (ablation_digest(name) if name in ablations
+                          else experiment_digest(name))
         elapsed = time.perf_counter() - started
         expected = ledger.get(name)
         if args.mode == "update" or expected == computed[name]:
